@@ -147,7 +147,7 @@ benchSchedDeep(std::uint64_t total)
 }
 
 /** Endpoint that counts deliveries and immediately re-injects. */
-class EchoEndpoint : public NetEndpoint
+class EchoEndpoint : public Endpoint
 {
   public:
     EchoEndpoint(Network &net, NodeId id, std::uint64_t *budget)

@@ -94,7 +94,7 @@ BM_SimulatedUnicast(benchmark::State &state)
             return std::make_unique<P>(*this);
         }
     };
-    class Sink : public NetEndpoint
+    class Sink : public Endpoint
     {
       public:
         bool reserveDelivery(const Packet &) override

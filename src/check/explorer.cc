@@ -219,7 +219,7 @@ runTrace(const Trace &t, std::uint64_t event_budget)
                 out.report.completed = false;
                 out.report.violations.push_back(Violation{
                     "liveness",
-                    std::string(opKindName(batch[i].kind)) +
+                    std::string(opKindNames.name(batch[i].kind)) +
                         " n" + std::to_string(batch[i].node) +
                         " b" + std::to_string(batch[i].block) +
                         " never completed (starved)",

@@ -28,22 +28,6 @@
 namespace cenju::check
 {
 
-const char *
-opKindName(OpKind k)
-{
-    switch (k) {
-      case OpKind::Load:
-        return "load";
-      case OpKind::Store:
-        return "store";
-      case OpKind::Flush:
-        return "flush";
-      case OpKind::Epoch:
-        return "epoch";
-    }
-    return "?";
-}
-
 Addr
 blockAddress(const CheckConfig &cfg, unsigned block)
 {
@@ -68,13 +52,13 @@ serializeTrace(const Trace &t)
     os << "# cenju modelcheck trace\n";
     os << "nodes " << t.cfg.nodes << "\n";
     os << "blocks " << t.cfg.blocks << "\n";
-    os << "protocol " << protocolKindName(t.cfg.protocol) << "\n";
-    os << "bug " << protoBugName(t.cfg.bug) << "\n";
+    os << "protocol " << protocolAxis.name(t.cfg.protocol) << "\n";
+    os << "bug " << protoBugNames.name(t.cfg.bug) << "\n";
     for (const auto &batch : t.batches) {
         os << "batch";
         bool first = true;
         for (const Op &op : batch) {
-            os << (first ? " " : " | ") << opKindName(op.kind)
+            os << (first ? " " : " | ") << opKindNames.name(op.kind)
                << " n" << op.node;
             if (op.kind != OpKind::Epoch)
                 os << " b" << op.block;
@@ -96,15 +80,7 @@ parseOp(const std::string &text, Op &op, std::string &err)
     std::istringstream is(text);
     std::string kind;
     is >> kind;
-    if (kind == "load") {
-        op.kind = OpKind::Load;
-    } else if (kind == "store") {
-        op.kind = OpKind::Store;
-    } else if (kind == "flush") {
-        op.kind = OpKind::Flush;
-    } else if (kind == "epoch") {
-        op.kind = OpKind::Epoch;
-    } else {
+    if (!opKindNames.parse(kind, op.kind)) {
         err = "unknown operation '" + kind + "'";
         return false;
     }
@@ -188,22 +164,13 @@ parseTrace(const std::string &text, Trace &out, std::string &err)
         } else if (key == "protocol") {
             std::string p;
             ls >> p;
-            if (!protocolKindFromName(p.c_str(),
-                                      out.cfg.protocol)) {
+            if (!protocolAxis.parse(p, out.cfg.protocol))
                 return fail("unknown protocol '" + p + "'");
-            }
         } else if (key == "bug") {
             std::string b;
             ls >> b;
-            if (b == "none") {
-                out.cfg.bug = ProtoBug::None;
-            } else if (b == "skip-reservation") {
-                out.cfg.bug = ProtoBug::SkipReservation;
-            } else if (b == "drop-sharer") {
-                out.cfg.bug = ProtoBug::DropSharer;
-            } else {
+            if (!protoBugNames.parse(b, out.cfg.bug))
                 return fail("unknown bug '" + b + "'");
-            }
         } else if (key == "batch") {
             std::string rest;
             std::getline(ls, rest);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "protocol/proto_config.hh"
+#include "sim/parse.hh"
 #include "sim/types.hh"
 
 namespace cenju::check
@@ -34,7 +35,13 @@ enum class OpKind : std::uint8_t
     Epoch, ///< advance the node's phase epoch (phase-priority only)
 };
 
-const char *opKindName(OpKind k);
+/** Operation names (trace text). */
+inline constexpr auto opKindNames = enumTable<OpKind>({
+    {OpKind::Load, "load"},
+    {OpKind::Store, "store"},
+    {OpKind::Flush, "flush"},
+    {OpKind::Epoch, "epoch"},
+});
 
 /** One operation of a batch. */
 struct Op

@@ -65,20 +65,20 @@ struct SystemConfig
     /**
      * Interconnect backend (docs/ARCHITECTURE.md): the multistage
      * fabric by default, overridable per process with
-     * CENJU_TRANSPORT=multistage|ideal|direct.
+     * CENJU_TRANSPORT.
      */
-    TransportKind transport = defaultTransportKind();
+    TransportKind transport = transportAxis.fromEnv();
 
     /**
      * Delivery-guarantee layer (docs/ARCHITECTURE.md "Reliability
      * layer"): e2e wraps the transport backend in the go-back-N
      * reliability decorator, which is what makes the illegal
      * drop/dup/corrupt fault classes survivable. Off by default,
-     * overridable per process with CENJU_RELIABILITY=off|e2e. The
+     * overridable per process with CENJU_RELIABILITY. The
      * wrapper has no cross-shard latency floor, so e2e systems
      * always clamp to one shard.
      */
-    ReliabilityKind reliability = defaultReliabilityKind();
+    ReliabilityKind reliability = reliabilityAxis.fromEnv();
 
     /**
      * Simulation shards (docs/ARCHITECTURE.md "Sharded parallel

@@ -17,7 +17,8 @@
 
 #include <coroutine>
 #include <cstring>
-#include <functional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/mapping.hh"
@@ -30,14 +31,18 @@
 namespace cenju
 {
 
-/** Awaitable completing via a callback with a value of type T. */
-template <typename T>
+/**
+ * Awaitable completing via a callback. The @p Starter is called
+ * once, at suspension, with a 16-byte `done(T)` (`done()` for void
+ * @p T) that stores the value and resumes the coroutine. Both are
+ * plain types, so the first type erasure is the machine's own
+ * callback (MasterModule::LoadCallback, ...), which holds a
+ * starter's completion lambda inline.
+ */
+template <typename T, typename Starter>
 class CallbackAwaitable
 {
   public:
-    using Starter =
-        std::function<void(std::function<void(T)> done)>;
-
     explicit CallbackAwaitable(Starter starter)
         : _starter(std::move(starter))
     {}
@@ -47,42 +52,42 @@ class CallbackAwaitable
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        _starter([this, h](T v) {
-            _result = std::move(v);
-            h.resume();
-        });
+        _starter(Done{this, h});
     }
 
-    T await_resume() { return std::move(_result); }
-
-  private:
-    Starter _starter;
-    T _result{};
-};
-
-/** Awaitable completing via a void callback. */
-class VoidAwaitable
-{
-  public:
-    using Starter = std::function<void(std::function<void()> done)>;
-
-    explicit VoidAwaitable(Starter starter)
-        : _starter(std::move(starter))
-    {}
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
+    T
+    await_resume()
     {
-        _starter([h] { h.resume(); });
+        if constexpr (!std::is_void_v<T>)
+            return std::move(_result);
     }
 
-    void await_resume() {}
-
   private:
+    struct Done
+    {
+        CallbackAwaitable *self;
+        std::coroutine_handle<> h;
+
+        template <typename... V>
+        void
+        operator()(V &&...v) const
+        {
+            ((self->_result = std::forward<V>(v)), ...);
+            h.resume();
+        }
+    };
+
     Starter _starter;
+    std::conditional_t<std::is_void_v<T>, bool, T> _result{};
 };
+
+/** CallbackAwaitable<T> for @p starter, deducing its type. */
+template <typename T = void, typename Starter>
+CallbackAwaitable<T, Starter>
+awaitable(Starter starter)
+{
+    return CallbackAwaitable<T, Starter>(std::move(starter));
+}
 
 /** The per-node programming interface. */
 class Env
@@ -99,13 +104,13 @@ class Env
     // --- raw memory ------------------------------------------------
 
     /** 64-bit load; counts one memory access instruction. */
-    CallbackAwaitable<std::uint64_t>
+    auto
     load(Addr a)
     {
         ++instructions;
         ++memAccesses;
-        return CallbackAwaitable<std::uint64_t>(
-            [this, a](std::function<void(std::uint64_t)> done) {
+        return awaitable<std::uint64_t>(
+            [this, a](auto done) {
                 Tick t0 = now();
                 _node.master().load(
                     a, [this, t0,
@@ -117,13 +122,13 @@ class Env
     }
 
     /** 64-bit store; counts one memory access instruction. */
-    VoidAwaitable
+    auto
     store(Addr a, std::uint64_t v)
     {
         ++instructions;
         ++memAccesses;
-        return VoidAwaitable(
-            [this, a, v](std::function<void()> done) {
+        return awaitable(
+            [this, a, v](auto done) {
                 Tick t0 = now();
                 _node.master().store(
                     a, v, [this, t0, done = std::move(done)] {
@@ -136,14 +141,14 @@ class Env
     // --- typed shared/private array access --------------------------
 
     /** Load element @p i of @p arr as a double. */
-    CallbackAwaitable<double>
+    auto
     get(const ShmArray &arr, std::size_t i)
     {
         Addr a = arr.addrOf(i);
         ++instructions;
         ++memAccesses;
-        return CallbackAwaitable<double>(
-            [this, a](std::function<void(double)> done) {
+        return awaitable<double>(
+            [this, a](auto done) {
                 Tick t0 = now();
                 _node.master().load(
                     a, [this, t0,
@@ -154,25 +159,25 @@ class Env
             });
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     getBits(const ShmArray &arr, std::size_t i)
     {
         return load(arr.addrOf(i));
     }
 
-    VoidAwaitable
+    auto
     put(const ShmArray &arr, std::size_t i, double v)
     {
         return store(arr.addrOf(i), bits(v));
     }
 
-    VoidAwaitable
+    auto
     putBits(const ShmArray &arr, std::size_t i, std::uint64_t v)
     {
         return store(arr.addrOf(i), v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     loadPriv(const PrivArray &arr, std::size_t i)
     {
         return load(arr.addrOf(i));
@@ -184,14 +189,14 @@ class Env
      * programs read the same as private ones (the DSM transparency
      * the paper's rewriting-ratio experiment measures).
      */
-    CallbackAwaitable<double>
+    auto
     get(const PrivArray &arr, std::size_t i)
     {
         Addr a = arr.addrOf(i);
         ++instructions;
         ++memAccesses;
-        return CallbackAwaitable<double>(
-            [this, a](std::function<void(double)> done) {
+        return awaitable<double>(
+            [this, a](auto done) {
                 Tick t0 = now();
                 _node.master().load(
                     a, [this, t0,
@@ -202,14 +207,14 @@ class Env
             });
     }
 
-    VoidAwaitable
+    auto
     storePriv(const PrivArray &arr, std::size_t i, double v)
     {
         return store(arr.addrOf(i), bits(v));
     }
 
     /** Store a double into a private array (same name as shared). */
-    VoidAwaitable
+    auto
     put(const PrivArray &arr, std::size_t i, double v)
     {
         return store(arr.addrOf(i), bits(v));
@@ -224,14 +229,12 @@ class Env
      * instructions (message payload bandwidth is charged by the
      * message-passing layer).
      */
-    CallbackAwaitable<std::vector<std::uint64_t>>
+    auto
     readRange(const PrivArray &arr, std::size_t offset,
               std::size_t count)
     {
-        return CallbackAwaitable<std::vector<std::uint64_t>>(
-            [this, arr, offset, count](
-                std::function<void(std::vector<std::uint64_t>)>
-                    done) {
+        return awaitable<std::vector<std::uint64_t>>(
+            [this, arr, offset, count](auto done) {
                 _node.eq().scheduleAfter(
                     dmaSetup,
                     [this, arr, offset, count,
@@ -262,14 +265,13 @@ class Env
      * Write @p values into a private array at @p offset via DMA:
      * memory is updated and stale cached copies are invalidated.
      */
-    VoidAwaitable
+    auto
     writeRange(const PrivArray &arr, std::size_t offset,
                std::vector<std::uint64_t> values)
     {
-        return VoidAwaitable(
+        return awaitable(
             [this, arr, offset,
-             values = std::move(values)](
-                std::function<void()> done) {
+             values = std::move(values)](auto done) {
                 _node.eq().scheduleAfter(
                     dmaSetup, [this, arr, offset, values,
                                done = std::move(done)] {
@@ -294,12 +296,12 @@ class Env
     // --- computation -------------------------------------------------
 
     /** Execute @p instrs non-memory instructions. */
-    VoidAwaitable
+    auto
     compute(std::uint64_t instrs)
     {
         instructions += instrs;
-        return VoidAwaitable(
-            [this, instrs](std::function<void()> done) {
+        return awaitable(
+            [this, instrs](auto done) {
                 Tick t = instrs * _node.timing().nsPerInstruction;
                 computeTime += t;
                 _node.eq().scheduleAfter(t, std::move(done));
@@ -308,11 +310,11 @@ class Env
 
     // --- synchronization ----------------------------------------------
 
-    VoidAwaitable
+    auto
     barrier()
     {
         ++barriers;
-        return VoidAwaitable([this](std::function<void()> done) {
+        return awaitable([this](auto done) {
             Tick t0 = now();
             _sync.barrier([this, t0, done = std::move(done)] {
                 syncTime += now() - t0;
@@ -327,11 +329,11 @@ class Env
         });
     }
 
-    CallbackAwaitable<double>
+    auto
     allReduceSum(double v)
     {
-        return CallbackAwaitable<double>(
-            [this, v](std::function<void(double)> done) {
+        return awaitable<double>(
+            [this, v](auto done) {
                 Tick t0 = now();
                 _sync.allReduceSum(
                     v, [this, t0,
@@ -353,14 +355,13 @@ class Env
      * trees, depending on the transport's CombineMode). Counted as
      * synchronization time, like barriers.
      */
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomic(Addr a, CombineOp op, std::uint64_t operand)
     {
         ++instructions;
         ++memAccesses;
-        return CallbackAwaitable<std::uint64_t>(
-            [this, a, op,
-             operand](std::function<void(std::uint64_t)> done) {
+        return awaitable<std::uint64_t>(
+            [this, a, op, operand](auto done) {
                 Tick t0 = now();
                 _node.master().atomicOp(
                     a, op, operand,
@@ -372,25 +373,25 @@ class Env
             });
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicFetchAdd(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::FetchAdd, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicMin(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Min, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicMax(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Max, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicSwap(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Swap, v);
@@ -399,13 +400,13 @@ class Env
     // --- message passing ------------------------------------------------
 
     /** Send; completes when the sender's processor is free. */
-    VoidAwaitable
+    auto
     send(NodeId dst, int tag, std::vector<std::uint64_t> payload,
          unsigned bytes = 0)
     {
-        return VoidAwaitable(
+        return awaitable(
             [this, dst, tag, payload = std::move(payload),
-             bytes](std::function<void()> done) mutable {
+             bytes](auto done) mutable {
                 Tick t0 = now();
                 _engine.send(dst, tag, std::move(payload), bytes,
                              [this, t0, done = std::move(done)] {
@@ -415,13 +416,11 @@ class Env
             });
     }
 
-    CallbackAwaitable<std::vector<std::uint64_t>>
+    auto
     recv(NodeId src, int tag)
     {
-        return CallbackAwaitable<std::vector<std::uint64_t>>(
-            [this, src,
-             tag](std::function<void(std::vector<std::uint64_t>)>
-                      done) {
+        return awaitable<std::vector<std::uint64_t>>(
+            [this, src, tag](auto done) {
                 Tick t0 = now();
                 _engine.recv(
                     src, tag,

@@ -7,47 +7,6 @@
 namespace cenju::fault
 {
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::InjectSqueeze:
-        return "inject-squeeze";
-      case FaultKind::XbSqueeze:
-        return "xb-squeeze";
-      case FaultKind::SwitchStall:
-        return "switch-stall";
-      case FaultKind::DeliveryHold:
-        return "delivery-hold";
-      case FaultKind::OutputHold:
-        return "output-hold";
-      case FaultKind::HomeStall:
-        return "home-stall";
-      case FaultKind::GatherHold:
-        return "gather-hold";
-      case FaultKind::DropMsg:
-        return "drop-msg";
-      case FaultKind::DupMsg:
-        return "dup-msg";
-      case FaultKind::CorruptPayload:
-        return "corrupt-payload";
-    }
-    return "?";
-}
-
-bool
-faultKindFromName(const std::string &s, FaultKind &out)
-{
-    for (unsigned i = 0; i < numTotalFaultKinds; ++i) {
-        auto k = static_cast<FaultKind>(i);
-        if (s == faultKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 FaultPlan
 randomPlan(Rng &rng, const PlanShape &shape)
 {
@@ -104,7 +63,7 @@ randomLossPlan(Rng &rng, const PlanShape &shape)
     for (unsigned i = 0; i < count; ++i) {
         FaultEvent e;
         e.kind = static_cast<FaultKind>(
-            numFaultKinds + unsigned(rng.below(numTotalFaultKinds -
+            numFaultKinds + unsigned(rng.below(faultKindNames.size() -
                                                numFaultKinds)));
         e.start = Tick(rng.below(shape.horizon));
         e.duration =
@@ -130,7 +89,7 @@ std::string
 serializeFaultEvent(const FaultEvent &e)
 {
     std::ostringstream os;
-    os << "fault " << faultKindName(e.kind) << " at " << e.start
+    os << "fault " << faultKindNames.name(e.kind) << " at " << e.start
        << " dur " << e.duration;
     switch (e.kind) {
       case FaultKind::InjectSqueeze:
@@ -170,7 +129,7 @@ parseFaultEvent(const std::string &line, FaultEvent &out,
         return false;
     }
     std::string kind;
-    if (!(is >> kind) || !faultKindFromName(kind, out.kind)) {
+    if (!(is >> kind) || !faultKindNames.parse(kind, out.kind)) {
         err = "bad fault kind: " + line;
         return false;
     }

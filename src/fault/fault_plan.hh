@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/parse.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -60,9 +61,6 @@ enum class FaultKind : std::uint8_t
 /** Legal kinds only — the range randomPlan() draws from. */
 constexpr unsigned numFaultKinds = 7;
 
-/** Every kind, including the loss kinds (name tables, parsing). */
-constexpr unsigned numTotalFaultKinds = 10;
-
 /** True for the loss kinds, which bare backends must reject. */
 constexpr bool
 isLossFault(FaultKind k)
@@ -70,11 +68,19 @@ isLossFault(FaultKind k)
     return static_cast<unsigned>(k) >= numFaultKinds;
 }
 
-/** Serialized kind name ("inject-squeeze", ...). */
-const char *faultKindName(FaultKind k);
-
-/** Parse a kind name. @retval false if @p s names none */
-bool faultKindFromName(const std::string &s, FaultKind &out);
+/** Serialized kind names, every kind including the loss kinds. */
+inline constexpr auto faultKindNames = enumTable<FaultKind>({
+    {FaultKind::InjectSqueeze, "inject-squeeze"},
+    {FaultKind::XbSqueeze, "xb-squeeze"},
+    {FaultKind::SwitchStall, "switch-stall"},
+    {FaultKind::DeliveryHold, "delivery-hold"},
+    {FaultKind::OutputHold, "output-hold"},
+    {FaultKind::HomeStall, "home-stall"},
+    {FaultKind::GatherHold, "gather-hold"},
+    {FaultKind::DropMsg, "drop-msg"},
+    {FaultKind::DupMsg, "dup-msg"},
+    {FaultKind::CorruptPayload, "corrupt-payload"},
+});
 
 /**
  * One timed fault window. Which fields are meaningful depends on

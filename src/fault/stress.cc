@@ -15,19 +15,6 @@
 namespace cenju::fault
 {
 
-bool
-protoBugFromName(const std::string &s, ProtoBug &out)
-{
-    for (auto b : {ProtoBug::None, ProtoBug::SkipReservation,
-                   ProtoBug::DropSharer}) {
-        if (s == protoBugName(b)) {
-            out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
 StressCase
 makeStressCase(std::uint64_t seed, const StressOptions &opts)
 {
@@ -444,16 +431,18 @@ serializeCase(const StressCase &c)
     bool v2 = c.reliability != ReliabilityKind::Off ||
               planHasLossFaults(c.plan);
     std::ostringstream os;
+    auto axis = [&os](const auto &a, auto value) {
+        os << a.key << " " << a.name(value) << "\n";
+    };
     os << (v2 ? "stresscase v2\n" : "stresscase v1\n");
     os << "nodes " << c.nodes << "\n";
     os << "xbcap " << c.xbCapacity << "\n";
-    os << "transport " << transportKindName(c.transport) << "\n";
-    os << "protocol " << protocolKindName(c.protocol) << "\n";
+    axis(transportAxis, c.transport);
+    axis(protocolAxis, c.protocol);
     if (v2)
-        os << "reliability " << reliabilityKindName(c.reliability)
-           << "\n";
-    os << "bug " << protoBugName(c.bug) << "\n";
-    os << "pattern " << stressPatternName(c.workload.pattern)
+        axis(reliabilityAxis, c.reliability);
+    os << "bug " << protoBugNames.name(c.bug) << "\n";
+    os << "pattern " << stressPatternNames.name(c.workload.pattern)
        << "\n";
     os << "blocks " << c.workload.blocks << "\n";
     os << "ops " << c.workload.opsPerNode << "\n";
@@ -469,49 +458,45 @@ bool
 applyCaseKey(StressCase &c, const std::string &key,
              const std::string &value, std::string &err)
 {
-    if (key == "nodes")
-        c.nodes = unsigned(std::stoul(value));
-    else if (key == "xbcap")
-        c.xbCapacity = unsigned(std::stoul(value));
-    else if (key == "transport") {
-        if (!transportKindFromName(value.c_str(), c.transport)) {
-            err = "bad transport name: " + value;
+    // Each key is one row: a name parsed through its enum's table,
+    // or an unsigned number that must parse completely and fit.
+    bool ok = true;
+    auto named = [&](const char *k, const auto &table, auto &field) {
+        if (key != k)
             return false;
+        if (!table.parse(value, field)) {
+            ok = false;
+            err = "bad " + key + " name '" + value + "' (expected " +
+                  table.names() + ")";
         }
-    } else if (key == "protocol") {
-        if (!protocolKindFromName(value.c_str(), c.protocol)) {
-            err = "bad protocol name: " + value;
+        return true;
+    };
+    auto number = [&](const char *k, auto &field) {
+        if (key != k)
             return false;
+        if (!parseUnsigned(value, field)) {
+            ok = false;
+            err = "bad " + key + " value '" + value +
+                  "' (expected an unsigned number)";
         }
-    } else if (key == "reliability") {
-        if (!reliabilityKindFromName(value.c_str(),
-                                     c.reliability)) {
-            err = "bad reliability name: " + value;
-            return false;
-        }
-    } else if (key == "bug") {
-        if (!protoBugFromName(value, c.bug)) {
-            err = "bad bug name: " + value;
-            return false;
-        }
-    } else if (key == "pattern") {
-        if (!stressPatternFromName(value, c.workload.pattern)) {
-            err = "bad pattern name: " + value;
-            return false;
-        }
-    } else if (key == "blocks")
-        c.workload.blocks = unsigned(std::stoul(value));
-    else if (key == "ops")
-        c.workload.opsPerNode = unsigned(std::stoul(value));
-    else if (key == "rounds")
-        c.workload.rounds = unsigned(std::stoul(value));
-    else if (key == "wseed")
-        c.workload.seed = std::stoull(value);
-    else {
+        return true;
+    };
+    bool known =
+        named(transportAxis.key, transportAxis, c.transport) ||
+        named(protocolAxis.key, protocolAxis, c.protocol) ||
+        named(reliabilityAxis.key, reliabilityAxis, c.reliability) ||
+        named("bug", protoBugNames, c.bug) ||
+        named("pattern", stressPatternNames, c.workload.pattern) ||
+        number("nodes", c.nodes) || number("xbcap", c.xbCapacity) ||
+        number("blocks", c.workload.blocks) ||
+        number("ops", c.workload.opsPerNode) ||
+        number("rounds", c.workload.rounds) ||
+        number("wseed", c.workload.seed);
+    if (!known) {
         err = "unknown key '" + key + "'";
         return false;
     }
-    return true;
+    return ok;
 }
 
 bool

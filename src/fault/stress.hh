@@ -44,20 +44,20 @@ struct StressCase
     unsigned xbCapacity = 8;
     /**
      * Interconnect backend. Pinned to the multistage fabric by
-     * default — NOT defaultTransportKind() — so the committed golden
+     * default — NOT transportAxis.fromEnv() — so the committed golden
      * digests (tests/golden/) certify the same fabric regardless of
      * the CENJU_TRANSPORT environment.
      */
     TransportKind transport = TransportKind::Multistage;
     /**
      * Coherence backend. Pinned to queuing by default — NOT
-     * defaultProtocolKind() — for the same reason as transport: the
+     * protocolAxis.fromEnv() — for the same reason as transport: the
      * committed goldens must not depend on CENJU_PROTOCOL.
      */
     ProtocolKind protocol = ProtocolKind::Queuing;
     /**
      * Reliability decorator. Pinned off by default — NOT
-     * defaultReliabilityKind() — so committed goldens must not
+     * reliabilityAxis.fromEnv() — so committed goldens must not
      * depend on CENJU_RELIABILITY. Loss faults in @ref plan require
      * E2e (the injector rejects them on bare backends).
      */
@@ -171,10 +171,10 @@ std::string serializeCase(const StressCase &c);
 /**
  * Apply one reproducer key (nodes, xbcap, transport, protocol,
  * reliability, bug, pattern, blocks, ops, rounds, wseed) to @p c.
- * Shared by parseCase and the
- * tools' --set key=value overrides, so the override vocabulary is
- * exactly the serialized-case vocabulary.
- * @retval false with @p err set on an unknown key or bad value
+ * Shared by parseCase and the tools' --set key=value overrides, so
+ * the override vocabulary is exactly the serialized-case vocabulary.
+ * @retval false with @p err naming the key and value on an unknown
+ * key, an unknown name or a malformed number
  */
 bool applyCaseKey(StressCase &c, const std::string &key,
                   const std::string &value, std::string &err);
@@ -185,9 +185,6 @@ bool applyCaseKey(StressCase &c, const std::string &key,
  */
 bool parseCase(const std::string &text, StressCase &out,
                std::string &err);
-
-/** Parse a ProtoBug name as printed by protoBugName(). */
-bool protoBugFromName(const std::string &s, ProtoBug &out);
 
 } // namespace cenju::fault
 

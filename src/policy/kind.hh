@@ -2,19 +2,15 @@
  * @file
  * Coherence-policy backend selection (docs/ARCHITECTURE.md
  * "Protocol policies") — the protocol-layer twin of the transport
- * seam's TransportKind: a small closed enum, printable names, and
- * an environment-driven default so the CI matrix can retarget every
- * system that does not pin a flavour explicitly.
+ * seam's TransportKind: a small closed enum and its config axis.
  */
 
 #ifndef CENJU_POLICY_KIND_HH
 #define CENJU_POLICY_KIND_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
-#include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace cenju
 {
@@ -30,50 +26,19 @@ enum class ProtocolKind : std::uint8_t
                    ///< 1305.3038-style arbitration)
 };
 
-/** Printable backend name. */
-inline const char *
-protocolKindName(ProtocolKind k)
-{
-    switch (k) {
-      case ProtocolKind::Queuing:
-        return "queuing";
-      case ProtocolKind::Nack:
-        return "nack";
-      case ProtocolKind::PhasePriority:
-        return "phase-priority";
-    }
-    return "?";
-}
-
-/** Parse a backend name as printed by protocolKindName(). */
-inline bool
-protocolKindFromName(const char *s, ProtocolKind &out)
-{
-    for (auto k : {ProtocolKind::Queuing, ProtocolKind::Nack,
-                   ProtocolKind::PhasePriority}) {
-        if (std::strcmp(s, protocolKindName(k)) == 0) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
- * Backend used when a ProtocolConfig does not choose one: queuing,
- * overridable with CENJU_PROTOCOL=queuing|nack|phase-priority (how
- * the CI protocol matrix reruns the unit tier per backend).
+ * The coherence-policy axis. Default queuing, overridable with
+ * CENJU_PROTOCOL (how the CI protocol matrix reruns the unit tier
+ * per backend).
  */
-inline ProtocolKind
-defaultProtocolKind()
-{
-    ProtocolKind k = ProtocolKind::Queuing;
-    const char *env = std::getenv("CENJU_PROTOCOL");
-    if (env && *env && !protocolKindFromName(env, k))
-        fatal("CENJU_PROTOCOL=%s: unknown backend (queuing, nack "
-              "or phase-priority)", env);
-    return k;
-}
+inline constexpr ConfigAxis protocolAxis(
+    enumTable<ProtocolKind>({
+        {ProtocolKind::Queuing, "queuing"},
+        {ProtocolKind::Nack, "nack"},
+        {ProtocolKind::PhasePriority, "phase-priority"},
+    }),
+    ProtocolKind::Queuing, "protocol", "CENJU_PROTOCOL",
+    "coherence backend");
 
 } // namespace cenju
 

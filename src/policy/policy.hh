@@ -123,7 +123,7 @@ class CoherencePolicy
     virtual ~CoherencePolicy() = default;
 
     virtual ProtocolKind kind() const = 0;
-    const char *name() const { return protocolKindName(kind()); }
+    const char *name() const { return protocolAxis.name(kind()); }
 
     /**
      * A request for pending block @p addr, carrying phase epoch

@@ -12,6 +12,7 @@
 
 #include "directory/node_map.hh"
 #include "policy/kind.hh"
+#include "sim/parse.hh"
 #include "sim/timing.hh"
 #include "sim/types.hh"
 
@@ -38,8 +39,12 @@ enum class ProtoBug : std::uint8_t
     DropSharer,
 };
 
-/** Printable bug-knob name (modelcheck CLI / traces). */
-const char *protoBugName(ProtoBug b);
+/** Bug-knob names (modelcheck/stress CLI, traces, reproducers). */
+inline constexpr auto protoBugNames = enumTable<ProtoBug>({
+    {ProtoBug::None, "none"},
+    {ProtoBug::SkipReservation, "skip-reservation"},
+    {ProtoBug::DropSharer, "drop-sharer"},
+});
 
 /** Per-node protocol and cache parameters. */
 struct ProtocolConfig
@@ -47,10 +52,9 @@ struct ProtocolConfig
     /**
      * Protocol flavour (Figure 6 comparison): the coherence-policy
      * backend (src/policy/, docs/ARCHITECTURE.md "Protocol
-     * policies"), overridable per process with
-     * CENJU_PROTOCOL=queuing|nack|phase-priority.
+     * policies"), overridable per process with CENJU_PROTOCOL.
      */
-    ProtocolKind protocol = defaultProtocolKind();
+    ProtocolKind protocol = protocolAxis.fromEnv();
 
     /** Directory node-map scheme. */
     NodeMapKind directoryScheme =

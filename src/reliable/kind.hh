@@ -2,22 +2,19 @@
  * @file
  * Reliability-layer selection (docs/ARCHITECTURE.md "Reliability
  * layer") — the delivery-guarantee twin of the transport seam's
- * TransportKind: a small closed enum, printable names, and an
- * environment-driven default. `e2e` wraps whatever Transport backend
- * was selected in the link-level reliability decorator
- * (src/reliable/reliable_transport.hh), which makes delivery
- * exactly-once and in order even when the fault plan drops,
- * duplicates or corrupts packets on the inner fabric.
+ * TransportKind: a small closed enum and its config axis. `e2e`
+ * wraps whatever Transport backend was selected in the link-level
+ * reliability decorator (src/reliable/reliable_transport.hh), which
+ * makes delivery exactly-once and in order even when the fault plan
+ * drops, duplicates or corrupts packets on the inner fabric.
  */
 
 #ifndef CENJU_RELIABLE_KIND_HH
 #define CENJU_RELIABLE_KIND_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
-#include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace cenju
 {
@@ -31,46 +28,18 @@ enum class ReliabilityKind : std::uint8_t
          ///< retransmit survive a lossy inner fabric
 };
 
-/** Printable mode name. */
-inline const char *
-reliabilityKindName(ReliabilityKind k)
-{
-    switch (k) {
-      case ReliabilityKind::Off:
-        return "off";
-      case ReliabilityKind::E2e:
-        return "e2e";
-    }
-    return "?";
-}
-
-/** Parse a mode name as printed by reliabilityKindName(). */
-inline bool
-reliabilityKindFromName(const char *s, ReliabilityKind &out)
-{
-    for (auto k : {ReliabilityKind::Off, ReliabilityKind::E2e}) {
-        if (std::strcmp(s, reliabilityKindName(k)) == 0) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
- * Mode used when a SystemConfig does not choose one: off (the
- * decorator serializes fabric gather/combining in software, so it is
- * strictly opt-in), overridable with CENJU_RELIABILITY=off|e2e.
+ * The reliability axis. Default off (the decorator serializes
+ * fabric gather/combining in software, so it is strictly opt-in),
+ * overridable with CENJU_RELIABILITY.
  */
-inline ReliabilityKind
-defaultReliabilityKind()
-{
-    ReliabilityKind k = ReliabilityKind::Off;
-    const char *env = std::getenv("CENJU_RELIABILITY");
-    if (env && *env && !reliabilityKindFromName(env, k))
-        fatal("CENJU_RELIABILITY=%s: unknown mode (off or e2e)", env);
-    return k;
-}
+inline constexpr ConfigAxis reliabilityAxis(
+    enumTable<ReliabilityKind>({
+        {ReliabilityKind::Off, "off"},
+        {ReliabilityKind::E2e, "e2e"},
+    }),
+    ReliabilityKind::Off, "reliability", "CENJU_RELIABILITY",
+    "delivery guarantee");
 
 } // namespace cenju
 

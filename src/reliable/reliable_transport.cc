@@ -94,13 +94,10 @@ ReliableTransport::tryInject(PacketPtr &&pkt)
         // Wire normalization: the fabric must never replicate a
         // sequenced packet, so the multicast fans out here into one
         // sequenced unicast clone per member.
-        const NodeSet &dsts = decodedDest(*pkt);
-        dsts.forEach([this, src, &pkt](NodeId t) {
-            PacketPtr c = pkt->clone();
-            c->dest = DestSpec::unicast(t);
-            c->decodedDestValid = false;
-            sendData(src, t, std::move(c));
-        });
+        unicastFanout(*pkt, decodedDest(*pkt),
+                      [this, src](NodeId t, PacketPtr c) {
+                          sendData(src, t, std::move(c));
+                      });
     } else {
         NodeId dst = pkt->dest.unicastDest();
         sendData(src, dst, std::move(pkt));
@@ -250,22 +247,10 @@ ReliableTransport::acceptUp(NodeId dst, PacketPtr pkt)
     pkt->relSavedFlags = 0;
 
     if (pkt->gathered) {
-        // Software reply merging, same semantics as the fabric's
-        // gather tables: sibling replies (arriving exactly once each
-        // thanks to the ARQ) count down; only the last is delivered.
-        if (!pkt->gatherGroup)
-            panic("reliable: gathered packet without a gather group");
-        Rx &rx = _rx[dst];
-        auto it = rx.gathers.find(pkt->gatherId);
-        if (it == rx.gathers.end()) {
-            unsigned expected = pkt->gatherGroup->count();
-            if (expected == 0)
-                panic("reliable: gather with an empty group");
-            it = rx.gathers.emplace(pkt->gatherId, expected).first;
-        }
-        if (--it->second > 0)
+        // Software reply merging: sibling replies arrive exactly
+        // once each thanks to the ARQ; only the last is delivered.
+        if (!_rx[dst].gathers.arrive(*pkt))
             return; // absorbed
-        rx.gathers.erase(it);
         ++_gatherMerged;
     }
     _rx[dst].upQ.push_back(std::move(pkt));

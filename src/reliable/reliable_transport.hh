@@ -52,6 +52,7 @@
 #include "sim/hashing.hh"
 #include "sim/inline_function.hh"
 #include "sim/stats.hh"
+#include "transport/software_fanout.hh"
 #include "transport/transport.hh"
 
 namespace cenju
@@ -233,9 +234,7 @@ class ReliableTransport final : public Transport
     {
         std::deque<PacketPtr> upQ;
         bool pumping = false;
-        /** Key: gatherId (the map is already per-destination). */
-        std::unordered_map<std::uint32_t, unsigned, U64MixHash>
-            gathers;
+        GatherCountdown gathers;
     };
 
     static std::uint64_t

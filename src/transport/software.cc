@@ -205,10 +205,7 @@ SoftwareTransport::pumpInjector(NodeId n)
                 unsigned members = dsts.count();
                 if (members > 1)
                     inj.multicastCopies += members - 1;
-                dsts.forEach([&inj, &pkt](NodeId t) {
-                    PacketPtr c = pkt->clone();
-                    c->dest = DestSpec::unicast(t);
-                    c->decodedDestValid = false;
+                unicastFanout(*pkt, dsts, [&inj](NodeId, PacketPtr c) {
                     inj.fanout.push_back(std::move(c));
                 });
                 continue; // members == 0: packet silently dropped
@@ -328,26 +325,12 @@ SoftwareTransport::arrive(NodeId dst, PacketPtr pkt)
         }
     }
     if (pkt->gathered) {
-        // Software reply merging at the destination: the same
-        // semantics the switch gather tables provide in-network,
-        // performed here so the protocol sees one merged reply on
-        // any backend.
-        if (!pkt->gatherGroup)
-            panic("gathered packet without a gather group");
-        std::uint32_t key = pkt->gatherId;
-        auto it = port.gathers.find(key);
-        if (it == port.gathers.end()) {
-            unsigned expected = pkt->gatherGroup->count();
-            if (expected == 0)
-                panic("gather with an empty group");
-            it = port.gathers.emplace(key, GatherMerge{expected})
-                     .first;
-        }
-        if (--it->second.remaining > 0) {
+        // Software reply merging at the destination, so the protocol
+        // sees one merged reply on any backend.
+        if (!port.gathers.arrive(*pkt)) {
             ++port.gatherAbsorbed;
             return;
         }
-        port.gathers.erase(it);
         ++port.gatherForwarded;
     }
     port.q.push_back(std::move(pkt));

@@ -38,6 +38,7 @@
 #include "sim/hashing.hh"
 #include "sim/stats.hh"
 #include "transport/net_config.hh"
+#include "transport/software_fanout.hh"
 #include "transport/transport.hh"
 
 namespace cenju
@@ -128,12 +129,6 @@ class SoftwareTransport : public Transport
                       const char *stat_name);
 
   private:
-    /** In-progress software gather merge at one destination. */
-    struct GatherMerge
-    {
-        unsigned remaining = 0;
-    };
-
     /**
      * One recorded merge of combinable requests, kept where the
      * merge happened so the reply can be decombined there (same
@@ -220,9 +215,7 @@ class SoftwareTransport : public Transport
         std::uint64_t gatherAbsorbed = 0;
         std::uint64_t gatherForwarded = 0;
         SampleStat latency;
-        /** Key: gatherId (the map is already per-destination). */
-        std::unordered_map<std::uint32_t, GatherMerge, U64MixHash>
-            gathers;
+        GatherCountdown gathers;
         /** Ideal: combining stations, keyed by combineKey. */
         std::unordered_map<std::uint64_t, HwStation, U64MixHash>
             stations;

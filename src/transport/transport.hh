@@ -34,12 +34,9 @@
 #ifndef CENJU_TRANSPORT_TRANSPORT_HH
 #define CENJU_TRANSPORT_TRANSPORT_HH
 
-#include <cstdlib>
-#include <cstring>
-
 #include "check/hooks.hh"
 #include "fault/hooks.hh"
-#include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "transport/combine.hh"
 #include "transport/packet.hh"
 
@@ -77,9 +74,6 @@ class Endpoint
     /** A previously full injection queue has space again. */
     virtual void injectSpaceAvailable() {}
 };
-
-/** Historical name, from when the only transport was the network. */
-using NetEndpoint = Endpoint;
 
 /** Abstract interconnect connecting up to 1024 node endpoints. */
 class Transport
@@ -253,50 +247,19 @@ enum class TransportKind : std::uint8_t
     Direct,     ///< point-to-point only: software multicast/gather
 };
 
-/** Printable backend name. */
-inline const char *
-transportKindName(TransportKind k)
-{
-    switch (k) {
-      case TransportKind::Multistage:
-        return "multistage";
-      case TransportKind::Ideal:
-        return "ideal";
-      case TransportKind::Direct:
-        return "direct";
-    }
-    return "?";
-}
-
-/** Parse a backend name as printed by transportKindName(). */
-inline bool
-transportKindFromName(const char *s, TransportKind &out)
-{
-    for (auto k : {TransportKind::Multistage, TransportKind::Ideal,
-                   TransportKind::Direct}) {
-        if (std::strcmp(s, transportKindName(k)) == 0) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
- * Backend used when a SystemConfig does not choose one: multistage,
- * overridable with CENJU_TRANSPORT=multistage|ideal|direct (how the
- * CI backend matrix reruns the unit tier per backend).
+ * The interconnect axis. Default multistage, overridable with
+ * CENJU_TRANSPORT (how the CI backend matrix reruns the unit tier
+ * per backend).
  */
-inline TransportKind
-defaultTransportKind()
-{
-    TransportKind k = TransportKind::Multistage;
-    const char *env = std::getenv("CENJU_TRANSPORT");
-    if (env && *env && !transportKindFromName(env, k))
-        fatal("CENJU_TRANSPORT=%s: unknown backend (multistage, "
-              "ideal or direct)", env);
-    return k;
-}
+inline constexpr ConfigAxis transportAxis(
+    enumTable<TransportKind>({
+        {TransportKind::Multistage, "multistage"},
+        {TransportKind::Ideal, "ideal"},
+        {TransportKind::Direct, "direct"},
+    }),
+    TransportKind::Multistage, "transport", "CENJU_TRANSPORT",
+    "interconnect backend");
 
 } // namespace cenju
 

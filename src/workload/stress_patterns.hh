@@ -31,10 +31,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "core/dsm_system.hh"
 #include "exec/task.hh"
+#include "sim/parse.hh"
 
 namespace cenju
 {
@@ -49,8 +49,6 @@ enum class StressPattern : std::uint8_t
     HotSpot,
 };
 
-constexpr unsigned numStressPatterns = 5;
-
 /**
  * Patterns a random seed may draw (the first N of the enum).
  * HotSpot is excluded: it needs a combinable sync array and typed
@@ -60,11 +58,14 @@ constexpr unsigned numStressPatterns = 5;
  */
 constexpr unsigned numRandomStressPatterns = 4;
 
-/** Serialized pattern name ("sharing-heavy", ...). */
-const char *stressPatternName(StressPattern p);
-
-/** Parse a pattern name. @retval false if @p s names none */
-bool stressPatternFromName(const std::string &s, StressPattern &out);
+/** Serialized pattern names (reproducers, `--pattern`). */
+inline constexpr auto stressPatternNames = enumTable<StressPattern>({
+    {StressPattern::SharingHeavy, "sharing-heavy"},
+    {StressPattern::Migratory, "migratory"},
+    {StressPattern::ProducerConsumer, "producer-consumer"},
+    {StressPattern::BarrierChurn, "barrier-churn"},
+    {StressPattern::HotSpot, "hot-spot"},
+});
 
 /** Parameters of one stress workload. */
 struct StressWorkload

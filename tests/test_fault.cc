@@ -9,6 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+#include <string>
+#include <utility>
+
+#include "check/trace.hh"
 #include "fault/injector.hh"
 #include "fault/stress.hh"
 #include "sim/rng.hh"
@@ -31,17 +37,92 @@ TEST(RngSplit, StreamsAreIndependentAndStable)
               Rng(42).split(1).next()); // split does not advance
 }
 
-TEST(FaultPlan, KindNamesRoundTrip)
+/**
+ * One name table (sim/parse.hh): its names, in row order, are
+ * exactly @p names (every printed name is pinned); every row
+ * round-trips; every enumerator 0..N-1 has a row; unknown names are
+ * rejected without touching the output.
+ */
+template <typename E, std::size_t N>
+void
+checkNameTable(const EnumTable<E, N> &table, const char *names)
 {
-    for (unsigned i = 0; i < numFaultKinds; ++i) {
-        auto k = static_cast<FaultKind>(i);
-        FaultKind back;
-        ASSERT_TRUE(faultKindFromName(faultKindName(k), back))
-            << faultKindName(k);
-        EXPECT_EQ(back, k);
+    SCOPED_TRACE(names);
+    EXPECT_EQ(table.names(), names);
+    std::set<std::string> seen;
+    std::set<unsigned> values;
+    for (const EnumRow<E> &row : table) {
+        EXPECT_TRUE(seen.insert(row.name).second)
+            << "duplicate name " << row.name;
+        values.insert(static_cast<unsigned>(row.value));
+        EXPECT_STREQ(table.name(row.value), row.name);
+        E back{};
+        ASSERT_TRUE(table.parse(row.name, back)) << row.name;
+        EXPECT_EQ(back, row.value);
     }
-    FaultKind dummy;
-    EXPECT_FALSE(faultKindFromName("frobnicate", dummy));
+    for (unsigned v = 0; v < N; ++v)
+        EXPECT_EQ(values.count(v), 1u) << "enumerator " << v;
+    EXPECT_STREQ(table.name(static_cast<E>(N)), "?");
+    const E first = table.begin()->value;
+    for (const char *bad : {"frobnicate", "", " none", "NONE"}) {
+        E out = first;
+        EXPECT_FALSE(table.parse(bad, out)) << "'" << bad << "'";
+        EXPECT_EQ(out, first);
+    }
+}
+
+TEST(NameTables, RoundTripUniqueAndRejectUnknown)
+{
+    checkNameTable(transportAxis, "multistage, ideal, direct");
+    checkNameTable(protocolAxis, "queuing, nack, phase-priority");
+    checkNameTable(reliabilityAxis, "off, e2e");
+    checkNameTable(protoBugNames,
+                   "none, skip-reservation, drop-sharer");
+    checkNameTable(stressPatternNames,
+                   "sharing-heavy, migratory, producer-consumer, "
+                   "barrier-churn, hot-spot");
+    checkNameTable(faultKindNames,
+                   "inject-squeeze, xb-squeeze, switch-stall, "
+                   "delivery-hold, output-hold, home-stall, "
+                   "gather-hold, drop-msg, dup-msg, corrupt-payload");
+    checkNameTable(check::opKindNames, "load, store, flush, epoch");
+    // The loss kinds sit after the legal range randomPlan draws.
+    for (const EnumRow<FaultKind> &row : faultKindNames) {
+        EXPECT_EQ(isLossFault(row.value),
+                  static_cast<unsigned>(row.value) >= numFaultKinds)
+            << row.name;
+    }
+}
+
+TEST(NameTables, ConfigAxesCarryTheirSelectionPlumbing)
+{
+    auto check = [](const auto &axis, const char *key,
+                    const char *env, const char *fallback) {
+        EXPECT_STREQ(axis.key, key);
+        EXPECT_STREQ(axis.env, env);
+        EXPECT_STREQ(axis.name(axis.fallback), fallback);
+    };
+    check(transportAxis, "transport", "CENJU_TRANSPORT",
+          "multistage");
+    check(protocolAxis, "protocol", "CENJU_PROTOCOL", "queuing");
+    check(reliabilityAxis, "reliability", "CENJU_RELIABILITY", "off");
+}
+
+TEST(NameTablesDeathTest, UnknownEnvValueExitsNamingTheVariable)
+{
+    auto fromBogusEnv = [](const auto &axis) {
+        setenv(axis.env, "bogus", 1);
+        axis.fromEnv();
+    };
+    EXPECT_EXIT(fromBogusEnv(transportAxis),
+                testing::ExitedWithCode(1),
+                "CENJU_TRANSPORT=bogus: unknown transport \\(expected "
+                "multistage, ideal, direct\\)");
+    EXPECT_EXIT(fromBogusEnv(protocolAxis), testing::ExitedWithCode(1),
+                "CENJU_PROTOCOL=bogus: unknown protocol");
+    EXPECT_EXIT(fromBogusEnv(reliabilityAxis),
+                testing::ExitedWithCode(1),
+                "CENJU_RELIABILITY=bogus: unknown reliability");
 }
 
 TEST(FaultPlan, EventSerializationRoundTrips)
@@ -172,7 +253,7 @@ expectCaughtAndShrinkable(ProtoBug bug)
         EXPECT_EQ(rr.digest, mr.digest);
         return;
     }
-    FAIL() << protoBugName(bug) << " not caught within "
+    FAIL() << protoBugNames.name(bug) << " not caught within "
            << seedBudget << " seeds";
 }
 
@@ -302,6 +383,50 @@ TEST(StressCaseIo, ReliabilityKeyAppliesAndValidates)
     EXPECT_EQ(c.reliability, ReliabilityKind::Off);
     EXPECT_FALSE(applyCaseKey(c, "reliability", "tcp", err));
     EXPECT_NE(err.find("tcp"), std::string::npos);
+}
+
+TEST(StressCaseIo, MalformedNumbersFailNamingKeyAndValue)
+{
+    // The --set path: applyCaseKey must refuse, not throw or wrap.
+    const std::pair<const char *, const char *> bad[] = {
+        {"nodes", "abc"},    {"xbcap", ""},      {"blocks", "-1"},
+        {"ops", "12x"},      {"rounds", " 2"},   {"nodes", "4294967296"},
+        {"wseed", "18446744073709551616"},
+    };
+    for (const auto &[key, value] : bad) {
+        StressCase c;
+        std::string err;
+        EXPECT_FALSE(applyCaseKey(c, key, value, err))
+            << key << "=" << value;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+        EXPECT_NE(err.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(c.nodes, StressCase{}.nodes);
+    }
+    StressCase c;
+    std::string err;
+    ASSERT_TRUE(applyCaseKey(c, "wseed", "18446744073709551615", err))
+        << err;
+    EXPECT_EQ(c.workload.seed, ~std::uint64_t(0));
+    ASSERT_TRUE(applyCaseKey(c, "nodes", "4294967295", err)) << err;
+    EXPECT_EQ(c.nodes, ~0u);
+}
+
+TEST(StressCaseIo, MalformedNumberInReproducerFailsNamingKeyAndValue)
+{
+    // The --replay-file path: parseCase must return false with the
+    // cause instead of letting an exception escape.
+    StressCase c = makeStressCase(9, StressOptions{});
+    std::string text = serializeCase(c);
+    auto at = text.find("nodes ");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, text.find('\n', at) - at, "nodes abc");
+    StressCase out;
+    std::string err;
+    EXPECT_FALSE(parseCase(text, out, err));
+    EXPECT_NE(err.find("nodes"), std::string::npos) << err;
+    EXPECT_NE(err.find("'abc'"), std::string::npos) << err;
 }
 
 TEST(LossPlanRejection, BareBackendRefusesLossFaultsAtArmTime)

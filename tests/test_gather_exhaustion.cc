@@ -36,7 +36,7 @@ struct TestPacket : Packet
     }
 };
 
-class CountingEndpoint : public NetEndpoint
+class CountingEndpoint : public Endpoint
 {
   public:
     CountingEndpoint(Network &net, NodeId id)

@@ -42,7 +42,7 @@ struct FuzzPacket : Packet
     }
 };
 
-class CountingEndpoint : public NetEndpoint
+class CountingEndpoint : public Endpoint
 {
   public:
     bool reserveDelivery(const Packet &) override { return true; }

@@ -352,7 +352,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TransportKind::Multistage,
                       TransportKind::Ideal, TransportKind::Direct),
     [](const ::testing::TestParamInfo<TransportKind> &info) {
-        return transportKindName(info.param);
+        return transportAxis.name(info.param);
     });
 
 TEST(ReliableChecksum, CoversEveryNormalizedHeaderField)
@@ -415,7 +415,7 @@ runDupIdempotence(std::uint64_t seed, StressPattern pattern)
 {
     SCOPED_TRACE(std::string("CENJU_FUZZ_SEED=") +
                  std::to_string(seed) + " pattern=" +
-                 stressPatternName(pattern));
+                 stressPatternNames.name(pattern));
     fault::StressCase c = dupEverythingCase(seed, pattern);
     fault::StressResult r = fault::runStressCase(c);
     EXPECT_TRUE(r.completed);

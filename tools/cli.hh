@@ -2,9 +2,9 @@
  * @file
  * Shared command-line plumbing for the tools (modelcheck, stress,
  * sweeprunner): one option-cursor class instead of three hand-rolled
- * argv loops, plus the common option vocabulary — numeric values,
- * transport- and protocol-backend selection, and key=value
- * overrides.
+ * argv loops, plus the common option vocabulary — checked numeric
+ * values, enum values and usage text generated from the name tables
+ * (sim/parse.hh), and key=value overrides.
  *
  * Deliberately tiny and exit(2)-on-misuse: these are developer
  * tools, so a missing value or a bad enum name prints what was
@@ -15,14 +15,16 @@
 #ifndef CENJU_TOOLS_CLI_HH
 #define CENJU_TOOLS_CLI_HH
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 
-#include "policy/kind.hh"
 #include "reliable/kind.hh"
+#include "sim/parse.hh"
 #include "transport/transport.hh"
 
 namespace cenju::cli
@@ -77,88 +79,127 @@ class OptionParser
     }
 
     /** value() as an unsigned 64-bit number. */
-    std::uint64_t
-    u64()
-    {
-        return std::strtoull(value(), nullptr, 10);
-    }
+    std::uint64_t u64() { return number<std::uint64_t>(); }
 
     /** value() as an unsigned 32-bit number. */
-    unsigned
-    u32()
-    {
-        return unsigned(std::strtoul(value(), nullptr, 10));
-    }
+    unsigned u32() { return number<unsigned>(); }
 
   private:
+    /** value() as a @p T; exits(2) naming the flag if malformed. */
+    template <typename T>
+    T
+    number()
+    {
+        const char *flag = arg();
+        const char *s = value();
+        T v{};
+        if (!parseUnsigned(std::string_view(s), v)) {
+            std::fprintf(stderr,
+                         "%s: expected an unsigned number, got '%s'\n",
+                         flag, s);
+            std::exit(2);
+        }
+        return v;
+    }
+
     int _argc;
     char **_argv;
     int _i;
 };
 
-/** Usage line for tools accepting --transport. */
-inline constexpr const char *transportHelp =
-    "  --transport T    interconnect backend: multistage | ideal |"
-    " direct\n"
-    "                   (default multistage)\n";
-
-/** Consume a --transport value; exits(2) on an unknown backend. */
-inline TransportKind
-transportValue(OptionParser &args)
+/**
+ * Consume the current option's value as a name in @p table; exits(2)
+ * naming the flag, the bad value and the valid names.
+ */
+template <typename E, std::size_t N>
+E
+enumValue(OptionParser &args, const EnumTable<E, N> &table)
 {
+    const char *flag = args.arg();
     const char *s = args.value();
-    TransportKind k;
-    if (!transportKindFromName(s, k)) {
-        std::fprintf(stderr,
-                     "unknown transport '%s' (multistage, ideal or "
-                     "direct)\n",
-                     s);
+    E v{};
+    if (!table.parse(s, v)) {
+        std::fprintf(stderr, "%s: unknown value '%s' (expected %s)\n",
+                     flag, s, table.names().c_str());
         std::exit(2);
     }
-    return k;
+    return v;
 }
 
-/** Usage line for tools accepting --protocol. */
-inline constexpr const char *protocolHelp =
-    "  --protocol P     coherence backend: queuing | nack |"
-    " phase-priority\n"
-    "                   (default queuing, or $CENJU_PROTOCOL)\n";
-
-/** Consume a --protocol value; exits(2) on an unknown backend. */
-inline ProtocolKind
-protocolValue(OptionParser &args)
+/**
+ * Usage entry for an option taking a name from @p table: @p head
+ * (indent, flag, metavariable) padded to @p column, then
+ * "what: a | b | c note" wrapped at 72 columns.
+ */
+template <typename E, std::size_t N>
+std::string
+enumHelp(std::string head, const std::string &what,
+         const EnumTable<E, N> &table, const std::string &note,
+         std::size_t column = 19)
 {
-    const char *s = args.value();
-    ProtocolKind k;
-    if (!protocolKindFromName(s, k)) {
-        std::fprintf(stderr,
-                     "unknown protocol '%s' (queuing, nack or "
-                     "phase-priority)\n",
-                     s);
-        std::exit(2);
+    std::string out = std::move(head);
+    out.append(out.size() < column ? column - out.size() : 1, ' ');
+    std::size_t lineStart = 0;
+    std::istringstream words(what + ": " + table.names(" | ") + " " +
+                             note);
+    for (std::string w; words >> w;) {
+        if (out.back() != ' ') {
+            if (out.size() - lineStart + 1 + w.size() > 72) {
+                lineStart = out.size() + 1;
+                out += '\n' + std::string(column, ' ');
+            } else {
+                out += ' ';
+            }
+        }
+        out += w;
     }
-    return k;
+    return out + '\n';
 }
 
-/** Usage line for tools accepting --reliability. */
-inline constexpr const char *reliabilityHelp =
-    "  --reliability R  delivery guarantee: off | e2e (retransmit\n"
-    "                   decorator over the chosen transport;\n"
-    "                   default off, or $CENJU_RELIABILITY)\n";
-
-/** Consume a --reliability value; exits(2) on an unknown mode. */
-inline ReliabilityKind
-reliabilityValue(OptionParser &args)
+/** Usage entry for a config axis's `--<key>` option. */
+template <typename E, std::size_t N>
+std::string
+axisHelp(const ConfigAxis<E, N> &axis, const char *indent = "  ",
+         std::size_t column = 19)
 {
-    const char *s = args.value();
-    ReliabilityKind k;
-    if (!reliabilityKindFromName(s, k)) {
+    std::string head = std::string(indent) + "--" + axis.key + " " +
+                       char(std::toupper(axis.key[0]));
+    return enumHelp(std::move(head), axis.help, axis,
+                    std::string("(default ") +
+                        axis.name(axis.fallback) + ")",
+                    column);
+}
+
+/**
+ * Resolve a --shards request (0 means 1) against the stack: the
+ * multistage fabric and the reliability decorator have no
+ * cross-shard latency floor, so either clamps to one shard. Tools
+ * clamp once here, not per run, so a seed sweep warns once.
+ */
+inline unsigned
+clampShards(unsigned shards, TransportKind transport,
+            ReliabilityKind reliability)
+{
+    if (shards <= 1)
+        return 1;
+    if (transport == TransportKind::Multistage) {
         std::fprintf(stderr,
-                     "unknown reliability mode '%s' (off or e2e)\n",
-                     s);
-        std::exit(2);
+                     "note: the multistage fabric has no "
+                     "cross-shard latency floor — its tryInject() "
+                     "mutates switch state synchronously with the "
+                     "sender, so conservative windows would have "
+                     "zero lookahead; running with 1 shard (see "
+                     "docs/ARCHITECTURE.md, \"Sharded parallel "
+                     "simulation\")\n");
+        return 1;
     }
-    return k;
+    if (reliability == ReliabilityKind::E2e) {
+        std::fprintf(stderr,
+                     "note: the reliability decorator runs "
+                     "sequentially; running with 1 shard\n");
+        return 1;
+    }
+    return shards;
 }
 
 /**

@@ -42,13 +42,7 @@ usage(const char *argv0)
         "  --seed-base S    first seed of the sweep (default 1)\n"
         "  --seed S         run exactly one seed, verbose\n"
         "  --nodes N        system size (default 16)\n"
-        "  --pattern P      sharing-heavy | migratory |\n"
-        "                   producer-consumer | barrier-churn |\n"
-        "                   hot-spot (combinable atomics storm)\n"
-        "                   (default: drawn per seed, excluding\n"
-        "                   hot-spot)\n"
-        "  --bug B          none | skip-reservation | drop-sharer\n"
-        "%s%s%s"
+        "%s%s%s%s%s"
         "  --lossy          adversarial loss mode: reliability on,\n"
         "                   random drop/dup/corrupt windows per\n"
         "                   seed, finals compared bit-for-bit with\n"
@@ -69,8 +63,17 @@ usage(const char *argv0)
         "                   counts, see docs/ARCHITECTURE.md)\n"
         "  --expect-caught  exit 0 iff the sweep found a failure\n"
         "  --out FILE       write the minimal reproducer to FILE\n",
-        argv0, cli::transportHelp, cli::protocolHelp,
-        cli::reliabilityHelp,
+        argv0,
+        cli::enumHelp("  --pattern P", "workload", stressPatternNames,
+                      "(default: drawn per seed, excluding the "
+                      "hot-spot atomics storm)")
+            .c_str(),
+        cli::enumHelp("  --bug B", "injected protocol bug",
+                      protoBugNames, "(default none)")
+            .c_str(),
+        cli::axisHelp(transportAxis).c_str(),
+        cli::axisHelp(protocolAxis).c_str(),
+        cli::axisHelp(reliabilityAxis).c_str(),
         (unsigned long long)defaultEventBudget);
     return 2;
 }
@@ -83,7 +86,7 @@ printResult(std::uint64_t seed, const StressCase &c,
                 "ops=%u rounds=%u faults=%zu | %s, %llu steps, "
                 "%llu events, %u windows, digest=%016llx\n",
                 (unsigned long long)seed,
-                stressPatternName(c.workload.pattern), c.nodes,
+                stressPatternNames.name(c.workload.pattern), c.nodes,
                 c.xbCapacity, c.workload.blocks,
                 c.workload.opsPerNode, c.workload.rounds,
                 c.plan.events.size(),
@@ -276,8 +279,8 @@ lossySweep(const Options &optIn)
                 "baseline\n",
                 (unsigned long long)seeds,
                 (unsigned long long)base, opt.gen.nodes,
-                transportKindName(opt.gen.transport),
-                protocolKindName(opt.gen.protocol));
+                transportAxis.name(opt.gen.transport),
+                protocolAxis.name(opt.gen.protocol));
 
     std::vector<LossyPair> sweep(seeds);
     auto runPair = [&opt](std::uint64_t seed, LossyPair &p) {
@@ -377,18 +380,15 @@ main(int argc, char **argv)
             opt.gen.nodes = args.u32();
         } else if (args.is("--pattern")) {
             opt.gen.patternFixed = true;
-            if (!stressPatternFromName(args.value(),
-                                       opt.gen.pattern))
-                return usage(argv[0]);
+            opt.gen.pattern = cli::enumValue(args, stressPatternNames);
         } else if (args.is("--bug")) {
-            if (!protoBugFromName(args.value(), opt.gen.bug))
-                return usage(argv[0]);
+            opt.gen.bug = cli::enumValue(args, protoBugNames);
         } else if (args.is("--transport")) {
-            opt.gen.transport = cli::transportValue(args);
+            opt.gen.transport = cli::enumValue(args, transportAxis);
         } else if (args.is("--protocol")) {
-            opt.gen.protocol = cli::protocolValue(args);
+            opt.gen.protocol = cli::enumValue(args, protocolAxis);
         } else if (args.is("--reliability")) {
-            opt.gen.reliability = cli::reliabilityValue(args);
+            opt.gen.reliability = cli::enumValue(args, reliabilityAxis);
         } else if (args.is("--lossy")) {
             opt.gen.lossy = true;
         } else if (args.is("--set")) {
@@ -411,8 +411,6 @@ main(int argc, char **argv)
             opt.jobs = args.u32();
         } else if (args.is("--shards")) {
             opt.shards = args.u32();
-            if (opt.shards == 0)
-                opt.shards = 1;
         } else if (args.is("--expect-caught")) {
             opt.expectCaught = true;
         } else if (args.is("--out")) {
@@ -427,29 +425,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (opt.shards > 1 &&
-        opt.gen.transport == TransportKind::Multistage) {
-        // Clamp here (not per run) so a seed sweep warns once.
-        std::fprintf(stderr,
-                     "note: the multistage fabric has no "
-                     "cross-shard latency floor — its tryInject() "
-                     "mutates switch state synchronously with the "
-                     "sender, so conservative windows would have "
-                     "zero lookahead; running with 1 shard (see "
-                     "docs/ARCHITECTURE.md, \"Sharded parallel "
-                     "simulation\")\n");
-        opt.shards = 1;
-    }
-    if (opt.shards > 1 &&
-        (opt.gen.lossy ||
-         opt.gen.reliability == ReliabilityKind::E2e)) {
-        // The wrapper has no cross-shard latency floor either; clamp
-        // once here instead of warning on every run of a sweep.
-        std::fprintf(stderr,
-                     "note: the reliability decorator runs "
-                     "sequentially; running with 1 shard\n");
-        opt.shards = 1;
-    }
+    opt.shards = cli::clampShards(opt.shards, opt.gen.transport,
+                                  opt.gen.lossy
+                                      ? ReliabilityKind::E2e
+                                      : opt.gen.reliability);
     if (opt.shards > 1 && opt.gen.bug != ProtoBug::None)
         std::fprintf(stderr,
                      "note: sharded runs use quiescent-only "
@@ -480,9 +459,9 @@ main(int argc, char **argv)
                 "transport=%s protocol=%s\n",
                 (unsigned long long)opt.seeds,
                 (unsigned long long)opt.seedBase, opt.gen.nodes,
-                protoBugName(opt.gen.bug),
-                transportKindName(opt.gen.transport),
-                protocolKindName(opt.gen.protocol));
+                protoBugNames.name(opt.gen.bug),
+                transportAxis.name(opt.gen.transport),
+                protocolAxis.name(opt.gen.protocol));
 
     // With --jobs != 1 the whole sweep runs up front on a worker
     // pool (each run is an independent single-threaded simulation);

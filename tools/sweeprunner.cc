@@ -50,9 +50,7 @@ usage()
         "         --seeds S      seeds to sweep (default 50)\n"
         "         --seed-base B  first seed (default 1)\n"
         "         --budget N     per-run event budget\n"
-        "         --transport T  multistage | ideal | direct\n"
-        "         --protocol P   queuing | nack | phase-priority\n"
-        "         --reliability R  off | e2e (retransmit decorator)\n"
+        "%s%s%s"
         "         --jobs J       worker threads (default: cores)\n"
         "         --shards N     simulation shards per run\n"
         "                        (default 1; digests bit-identical\n"
@@ -64,7 +62,10 @@ usage()
         "         --quick        CENJU_QUICK=1 scaled-down runs\n"
         "         --bindir DIR   bench binary dir (default bench)\n"
         "         --only NAME    run just one bench\n"
-        "         --out FILE     write BENCH_figures.json\n");
+        "         --out FILE     write BENCH_figures.json\n",
+        cli::axisHelp(transportAxis, "         ", 24).c_str(),
+        cli::axisHelp(protocolAxis, "         ", 24).c_str(),
+        cli::axisHelp(reliabilityAxis, "         ", 24).c_str());
     return 2;
 }
 
@@ -99,18 +100,16 @@ runStressMode(int argc, char **argv)
         else if (args.is("--budget"))
             budget = args.u64();
         else if (args.is("--transport"))
-            opts.transport = cli::transportValue(args);
+            opts.transport = cli::enumValue(args, transportAxis);
         else if (args.is("--protocol"))
-            opts.protocol = cli::protocolValue(args);
+            opts.protocol = cli::enumValue(args, protocolAxis);
         else if (args.is("--reliability"))
-            opts.reliability = cli::reliabilityValue(args);
+            opts.reliability = cli::enumValue(args, reliabilityAxis);
         else if (args.is("--jobs"))
             jobs = args.u32();
-        else if (args.is("--shards")) {
+        else if (args.is("--shards"))
             shards = args.u32();
-            if (shards == 0)
-                shards = 1;
-        } else if (args.is("--golden"))
+        else if (args.is("--golden"))
             goldenFile = args.value();
         else if (args.is("--out"))
             outFile = args.value();
@@ -119,20 +118,7 @@ runStressMode(int argc, char **argv)
     }
 
     opts.nodes = nodes;
-    if (shards > 1 && opts.transport == TransportKind::Multistage) {
-        // Clamp here (not per run) so a long sweep warns once.
-        std::fprintf(stderr,
-                     "note: the multistage fabric has no "
-                     "cross-shard latency floor; running with 1 "
-                     "shard\n");
-        shards = 1;
-    }
-    if (shards > 1 && opts.reliability == ReliabilityKind::E2e) {
-        std::fprintf(stderr,
-                     "note: the reliability decorator runs "
-                     "sequentially; running with 1 shard\n");
-        shards = 1;
-    }
+    shards = cli::clampShards(shards, opts.transport, opts.reliability);
     jobs = cli::clampJobs(jobs, shards);
 
     std::vector<SeedOutcome> results(seeds);
