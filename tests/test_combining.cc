@@ -547,6 +547,34 @@ TEST(CombineSystem, MultistageStormCombinesInNetwork)
         << "default table should never alias at this scale";
 }
 
+TEST(CombineSystem, StormTimingIsPinnedOnEveryBackend)
+{
+    // Exact simulated completion time of a 64-node fetch-add storm:
+    // any change to merge order, record-slot use or decombine
+    // latency on any backend moves it, even when every value is
+    // still right.
+    struct Pin
+    {
+        TransportKind t;
+        Tick execTime;
+    };
+    const Pin pins[] = {{TransportKind::Multistage, 9560},
+                        {TransportKind::Ideal, 9240},
+                        {TransportKind::Direct, 29810}};
+    for (const Pin &p : pins) {
+        DsmSystem sys(sysConfig(64, p.t));
+        ShmArray ctr = sys.shmAllocCombinable(1);
+        Addr a = ctr.addrOf(0);
+        RunStats rs = sys.run([&](Env &env) -> Task {
+            for (unsigned i = 0; i < 4; ++i)
+                (void)co_await env.atomicFetchAdd(a, 1);
+        });
+        EXPECT_EQ(readWord(sys, ctr, 0), 256u)
+            << transportAxis.name(p.t);
+        EXPECT_EQ(rs.execTime, p.execTime) << transportAxis.name(p.t);
+    }
+}
+
 // --- randomized cross-backend equivalence -----------------------------
 
 void
