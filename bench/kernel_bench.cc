@@ -5,9 +5,10 @@
  * decode, and coherence-packet allocation churn.
  *
  * This is the tracked perf surface of the simulator (docs/PERF.md):
- * the numbers land in BENCH_kernel.json and CI's perf-smoke job
- * fails when a metric regresses more than --max-regress against the
- * committed baseline. Usage:
+ * the numbers land in BENCH_kernel.json and --baseline fails when a
+ * simulated-time metric differs from the committed value at all, or
+ * a wall-clock metric regresses more than --max-regress. A bench
+ * whose own correctness check fails exits nonzero too. Usage:
  *
  *   kernel_bench                         # full run, table to stdout
  *   kernel_bench --quick                 # CI-sized work items
@@ -49,7 +50,32 @@ struct Result
     double value = 0; ///< higher is better (ops per second)
     std::uint64_t ops = 0;
     double seconds = 0;
+    bool ok = true; ///< the run's own correctness check passed
 };
+
+/**
+ * Simulated-time metrics (and ratios of them) are bit-deterministic
+ * across hosts, so the baseline gate compares them exactly; every
+ * other metric is host wall clock and gets the --max-regress floor.
+ */
+bool
+deterministicMetric(const std::string &metric)
+{
+    const std::string simSuffix = "_per_sim_ms";
+    return metric == "x_direct" || metric == "x_off" ||
+           (metric.size() > simSuffix.size() &&
+            metric.compare(metric.size() - simSuffix.size(),
+                           simSuffix.size(), simSuffix) == 0);
+}
+
+/** @p v at the precision writeJson records it with. */
+std::string
+jsonValue(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
 
 double
 secondsSince(clk::time_point t0)
@@ -374,13 +400,14 @@ benchHotspot(unsigned nodes, TransportKind t, const char *name,
         sys.node(addr_map::homeNode(a))
             .sharedMem()
             .readWord(addr_map::offset(a));
-    if (final != total || rs.execTime == 0)
+    const bool ok = final == total && rs.execTime != 0;
+    if (!ok)
         std::fprintf(stderr,
                      "hotspot %s: bad sum %llu != %llu\n", name,
                      (unsigned long long)final,
                      (unsigned long long)total);
     return {name, "atomics_per_sim_ms",
-            double(total) * 1e6 / double(rs.execTime), total, s};
+            double(total) * 1e6 / double(rs.execTime), total, s, ok};
 }
 
 Result
@@ -447,8 +474,9 @@ benchCohQueuing256(std::uint64_t opsPerNode)
     sys.eq().run();
     double s = secondsSince(t0);
     const std::uint64_t total = cfg.numNodes * opsPerNode;
-    if (done != total || sys.eq().now() == 0 ||
-        sys.node(0).home().nacksSent.value() != 0)
+    const bool ok = done == total && sys.eq().now() != 0 &&
+                    sys.node(0).home().nacksSent.value() == 0;
+    if (!ok)
         std::fprintf(stderr,
                      "coh_queuing_256: bad run (%llu/%llu done, "
                      "%llu nacks)\n",
@@ -458,8 +486,8 @@ benchCohQueuing256(std::uint64_t opsPerNode)
                          .home()
                          .nacksSent.value());
     return {"coh_queuing_256", "stores_per_sim_ms",
-            double(total) * 1e6 / double(sys.eq().now()), total,
-            s};
+            double(total) * 1e6 / double(sys.eq().now()), total, s,
+            ok};
 }
 
 /**
@@ -519,10 +547,11 @@ benchReliableStores(ReliabilityKind rel, unsigned dropPeriod,
     });
     double s = secondsSince(t0);
     const std::uint64_t total = cfg.numNodes * opsPerNode;
-    if (rs.execTime == 0)
-        std::fprintf(stderr, "impossible\n");
+    const bool ok = rs.execTime != 0;
+    if (!ok)
+        std::fprintf(stderr, "%s: empty run\n", name);
     return {name, "stores_per_sim_ms",
-            double(total) * 1e6 / double(rs.execTime), total, s};
+            double(total) * 1e6 / double(rs.execTime), total, s, ok};
 }
 
 Result
@@ -628,8 +657,9 @@ usage(const char *argv0)
         "  --quick           CI-sized work items\n"
         "  --out FILE        write results as JSON\n"
         "  --baseline FILE   compare against a committed JSON\n"
-        "  --max-regress R   allowed fractional drop (default "
-        "0.20)\n"
+        "  --max-regress R   allowed fractional drop of wall-clock\n"
+        "                    metrics (default 0.20; simulated-time\n"
+        "                    metrics must match exactly)\n"
         "  --filter NAME     run only the named bench\n",
         argv0);
     return 2;
@@ -710,6 +740,7 @@ main(int argc, char **argv)
     };
 
     std::vector<Result> results;
+    bool runBad = false;
     std::printf("%-18s %16s %14s %10s\n", "bench", "metric",
                 "ops/sec", "seconds");
     for (const Bench &b : benches) {
@@ -718,6 +749,7 @@ main(int argc, char **argv)
         if (b.quickSkip && quick)
             continue;
         Result r = b.fn(b.work);
+        runBad |= !r.ok;
         std::printf("%-18s %16s %14.0f %10.3f\n", r.name.c_str(),
                     r.metric.c_str(), r.value, r.seconds);
         results.push_back(std::move(r));
@@ -820,6 +852,22 @@ main(int argc, char **argv)
             for (const Result &r : results) {
                 if (r.name != name)
                     continue;
+                if (deterministicMetric(r.metric)) {
+                    if (jsonValue(r.value) != jsonValue(value)) {
+                        std::printf("CHANGED %s: %s != baseline %s "
+                                    "(simulated-time metric, gated "
+                                    "exactly)\n",
+                                    name.c_str(),
+                                    jsonValue(r.value).c_str(),
+                                    jsonValue(value).c_str());
+                        bad = true;
+                    } else {
+                        std::printf("ok %s: exactly %s\n",
+                                    name.c_str(),
+                                    jsonValue(value).c_str());
+                    }
+                    continue;
+                }
                 double floor = value * (1.0 - maxRegress);
                 if (r.value < floor) {
                     std::printf(
@@ -837,5 +885,5 @@ main(int argc, char **argv)
         if (bad)
             return 1;
     }
-    return overheadBad ? 1 : 0;
+    return overheadBad || runBad ? 1 : 0;
 }
