@@ -24,13 +24,11 @@
 #define CENJU_NETWORK_GATHER_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "transport/combine.hh"
+#include "transport/combine_ledger.hh"
 
 namespace cenju
 {
@@ -167,23 +165,18 @@ class GatherTable
 /**
  * Per-switch combining-record table (ROADMAP item 4): the gather
  * table generalized from "merge N fixed replies" to "merge typed
- * operands opportunistically". When two combinable requests to the
- * same key meet at a switch, the absorbed one dies there and a
- * record remembers how to reconstruct its reply from the merged
- * reply's base value:
+ * operands opportunistically". The records themselves, the merge
+ * fold and the reply rebuild are the backend-neutral ones of
+ * transport/combine_ledger.hh; this class adds only what is a
+ * hardware property of the switch.
  *
- *   absorbedValue = combineApply(op, replyBase, prefix)
- *
- * where prefix is the representative's accumulated operand captured
- * at merge time (see transport/combine.hh for the algebra).
- *
- * Records are keyed by the absorbed packet's ticket, which is
- * globally unique (a packet is absorbed at most once and ends its
- * life there), and occupy slot ticket % size — the same modulo
- * aliasing a fixed-size hardware table exhibits. Unlike the gather
- * table, an occupied slot never back-pressures: the merge is simply
- * skipped and the request forwards uncombined, so exhaustion
- * degrades toward the no-combining baseline instead of stalling
+ * A record occupies slot absorbedTicket % size — the same modulo
+ * aliasing a fixed-size hardware table exhibits (the ticket is
+ * globally unique: a packet is absorbed at most once and ends its
+ * life there). Unlike the gather table, an occupied slot never
+ * back-pressures: the merge is simply skipped and the request
+ * forwards uncombined, so exhaustion degrades toward the
+ * no-combining baseline instead of stalling
  * (tests/test_gather_exhaustion.cc covers both behaviors).
  */
 class CombineTable
@@ -192,8 +185,8 @@ class CombineTable
     /**
      * Slot storage materializes lazily on the first store(): most
      * switches in most runs never see a combinable request, and at
-     * 1024 nodes an eager table would be ~100 KB on each of 1536
-     * switches (docs/PERF.md's construction-cost rule).
+     * 1024 nodes an eager table would be one more allocation on
+     * each of 1536 switches (docs/PERF.md's construction-cost rule).
      */
     explicit CombineTable(unsigned entries) : _entries(entries)
     {
@@ -201,84 +194,50 @@ class CombineTable
             panic("combine table needs at least one entry");
     }
 
-    struct Record
-    {
-        std::uint64_t key = 0;            ///< combinable address
-        std::uint64_t repTicket = 0;      ///< surviving request
-        std::uint64_t absorbedTicket = 0; ///< request merged away
-        NodeId absorbedSrc = invalidNode;
-        std::uint32_t absorbedCookie = 0;
-        std::uint64_t prefix = 0; ///< rep operand at merge time
-        CombineOp op = CombineOp::FetchAdd;
-        bool valid = false;
-    };
-
-    /** May a merge keyed by @p absorbed_ticket record itself? */
+    /** May a merge absorbing @p absorbed_ticket record itself? */
     bool
     canRecord(std::uint64_t absorbed_ticket) const
     {
-        return _records.empty() ||
-               !_records[absorbed_ticket % size()].valid;
+        return _taken.empty() || !_taken[absorbed_ticket % size()];
     }
 
     /** Store a merge record. @pre canRecord(r.absorbedTicket) */
     void
-    store(const Record &r)
+    store(const CombineRecord &r)
     {
-        if (_records.empty())
-            _records.resize(_entries);
-        Record &slot = _records[r.absorbedTicket % size()];
-        if (slot.valid)
-            panic("combine table: slot %llu already occupied",
-                  static_cast<unsigned long long>(
-                      r.absorbedTicket % size()));
-        slot = r;
-        slot.valid = true;
-        _byRep[r.repTicket].push_back(
-            unsigned(r.absorbedTicket % size()));
-        ++_active;
+        if (_taken.empty())
+            _taken.resize(_entries);
+        const unsigned slot = unsigned(r.absorbedTicket % size());
+        if (_taken[slot])
+            panic("combine table: slot %u already occupied", slot);
+        _taken[slot] = true;
+        _ledger.add(r);
     }
 
     /**
-     * Pop every record whose representative is @p rep_ticket into
-     * @p out, in merge order (a reply descending through this
-     * switch consumes the merges it answers). The rep-ticket index
-     * makes this O(matches): a hot-spot storm calls it once per
-     * reply per stage, and a table-proportional scan here dominated
-     * the 1024-node bench's host time.
+     * Remove every record whose representative is @p rep_ticket, in
+     * merge order, freeing their slots (a reply descending through
+     * this switch consumes the merges it answers).
      */
-    void
-    takeMatches(std::uint64_t rep_ticket, std::vector<Record> &out)
+    CombineLedger::Records
+    take(std::uint64_t rep_ticket)
     {
-        auto it = _byRep.find(rep_ticket);
-        if (it == _byRep.end())
-            return;
-        for (unsigned idx : it->second) {
-            Record &r = _records[idx];
-            if (!r.valid || r.repTicket != rep_ticket)
-                panic("combine table: index out of sync at slot "
-                      "%u", idx);
-            out.push_back(r);
-            r.valid = false;
-            --_active;
-        }
-        _byRep.erase(it);
+        CombineLedger::Records recs = _ledger.take(rep_ticket);
+        for (const CombineRecord &r : recs)
+            _taken[r.absorbedTicket % size()] = false;
+        return recs;
     }
 
     /** Records currently live (for tests / quiescence checks). */
-    unsigned activeCount() const { return _active; }
+    unsigned activeCount() const { return unsigned(_ledger.size()); }
 
     unsigned size() const { return _entries; }
 
   private:
     const unsigned _entries;
-    /** Empty until the first store() (lazy materialization). */
-    std::vector<Record> _records;
-    /** repTicket -> slots of its live records, in merge order. */
-    std::unordered_map<std::uint64_t, std::vector<unsigned>,
-                       U64MixHash>
-        _byRep;
-    unsigned _active = 0;
+    /** Slot occupancy; empty until the first store(). */
+    std::vector<bool> _taken;
+    CombineLedger _ledger;
 };
 
 } // namespace cenju

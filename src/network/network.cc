@@ -196,27 +196,17 @@ Network::descendReply(PacketPtr pkt, int stage)
     auto hops = _topo.route(requester, pkt->src);
     unsigned s = static_cast<unsigned>(stage);
     XbarSwitch &sw = switchAt(s, hops[s].row);
-    std::vector<CombineTable::Record> recs;
-    sw.combineTable().takeMatches(pkt->combineTicket, recs);
+    CombineLedger::Records recs =
+        sw.combineTable().take(pkt->combineTicket);
     Tick delay = _cfg.stageLatency +
                  _cfg.gatherMergeLatency * Tick(recs.size());
-    for (const CombineTable::Record &r : recs) {
-        // Reconstruct the absorbed requester's reply: base value as
-        // seen after the requests serialized ahead of it, i.e. the
-        // rep's prefix folded onto this reply's base.
-        PacketPtr sub = pkt->clone();
-        sub->dest = DestSpec::unicast(r.absorbedSrc);
-        sub->decodedDestValid = false;
-        sub->combineOperand =
-            combineApply(r.op, pkt->combineOperand, r.prefix);
-        sub->combineTicket = r.absorbedTicket;
-        sub->combineCookie = r.absorbedCookie;
+    for (const CombineRecord &r : recs) {
         ++_combineDecombined;
         // The absorbed request joined this switch at stage s, so its
         // reply continues from stage s-1 along its own route.
         _eq.scheduleAfter(delay,
                           [this, stage,
-                           p = std::move(sub)]() mutable {
+                           p = decombine(*pkt, r)]() mutable {
                               descendReply(std::move(p), stage - 1);
                           });
     }

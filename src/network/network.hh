@@ -73,13 +73,6 @@ class Network final : public Transport
      */
     Tick minCrossShardLatency() const override { return 0; }
 
-    /** Combinable atomics merge/decombine at the switches. */
-    CombineMode
-    combineMode() const override
-    {
-        return CombineMode::InFabric;
-    }
-
     StatGroup &stats() override { return _stats; }
 
     /**

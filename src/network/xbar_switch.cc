@@ -167,17 +167,7 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
                 ++_net.combineSkipped();
                 return false;
             }
-            CombineTable::Record r;
-            r.key = pkt->combineKey;
-            r.repTicket = q->combineTicket;
-            r.absorbedTicket = pkt->combineTicket;
-            r.absorbedSrc = pkt->src;
-            r.absorbedCookie = pkt->combineCookie;
-            r.prefix = q->combineOperand;
-            r.op = q->combineOp;
-            _combine.store(r);
-            q->combineOperand = combineApply(
-                q->combineOp, q->combineOperand, pkt->combineOperand);
+            _combine.store(absorb(*q, *pkt));
             ++_net.combineMerged();
             std::vector<unsigned> outs{out};
             pkt.reset();

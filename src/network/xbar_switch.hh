@@ -102,8 +102,8 @@ class XbarSwitch
     const GatherTable &gatherTable() const { return _gather; }
 
     /**
-     * Combining-record table (mutable: the reply descent pops the
-     * records it answers — Network::descendCombinedReply).
+     * Combining-record table (mutable: the reply descent takes the
+     * records it answers — Network::descendReply).
      */
     CombineTable &combineTable() { return _combine; }
 

@@ -102,13 +102,6 @@ class ReliableTransport final : public Transport
 
     StatGroup &stats() override { return _stats; }
 
-    /** The home serializes atomic RMWs; no fabric combining. */
-    CombineMode
-    combineMode() const override
-    {
-        return CombineMode::SoftwareTree;
-    }
-
     // minCrossShardLatency() stays 0 and bindShards() stays false
     // (Transport defaults): the control events have no latency
     // floor, so a sharded run clamps to one shard.

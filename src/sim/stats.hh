@@ -18,7 +18,6 @@
 #include <ostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace cenju
 {
@@ -97,34 +96,6 @@ class SampleStat
     double _sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-bucket histogram over [0, bucketWidth * buckets). */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width, std::size_t buckets)
-        : _width(bucket_width), _counts(buckets, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        _stat.sample(v);
-        auto idx = static_cast<std::size_t>(v / _width);
-        if (idx >= _counts.size())
-            idx = _counts.size() - 1;
-        ++_counts[idx];
-    }
-
-    const SampleStat &stat() const { return _stat; }
-    const std::vector<std::uint64_t> &counts() const { return _counts; }
-    double bucketWidth() const { return _width; }
-
-  private:
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    SampleStat _stat;
 };
 
 /**

@@ -226,7 +226,9 @@ SoftwareTransport::routeArrival(NodeId src, NodeId dst, Tick when,
                                p = std::move(pkt)]() mutable {
         arrive(dst, std::move(p));
     };
-    if (_router->shardOf(dst) == _router->shardOf(src))
+    if (!_router)
+        _eq.schedule(when, std::move(cb));
+    else if (_router->shardOf(dst) == _router->shardOf(src))
         _router->queueFor(src).schedule(when, std::move(cb));
     else
         _router->crossSchedule(src, dst, when, std::move(cb));
@@ -276,16 +278,7 @@ SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
         }
     } else {
         NodeId dst = pkt->dest.unicastDest();
-        if (_router) {
-            routeArrival(n, dst, nowOf(n) + _pipeLatency,
-                         std::move(pkt));
-        } else {
-            _eq.scheduleAfter(_pipeLatency,
-                              [this, dst,
-                               p = std::move(pkt)]() mutable {
-                                  arrive(dst, std::move(p));
-                              });
-        }
+        routeArrival(n, dst, nowOf(n) + _pipeLatency, std::move(pkt));
     }
 
     queueOf(n).scheduleAfter(
@@ -415,17 +408,7 @@ SoftwareTransport::hwCombineArrive(NodeId dst, PacketPtr &pkt)
         // Mixed ops on one key: don't combine, deliver serially.
         return false;
     }
-    CombineRecord r;
-    r.repTicket = rep.combineTicket;
-    r.absorbedTicket = pkt->combineTicket;
-    r.absorbedSrc = pkt->src;
-    r.absorbedCookie = pkt->combineCookie;
-    r.prefix = rep.combineOperand;
-    r.op = rep.combineOp;
-    st.records.push_back(r);
-    rep.combineOperand = combineApply(rep.combineOp,
-                                      rep.combineOperand,
-                                      pkt->combineOperand);
+    st.records.add(absorb(rep, *pkt));
     pkt.reset();
     return true;
 }
@@ -443,28 +426,11 @@ SoftwareTransport::hwCombineReply(NodeId home, PacketPtr pkt)
     std::vector<PacketPtr> outs;
     outs.push_back(std::move(pkt));
     if (it != port.stations.end()) {
-        HwStation &st = it->second;
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-            std::uint64_t t = outs[i]->combineTicket;
-            for (std::size_t k = 0; k < st.records.size();) {
-                if (st.records[k].repTicket != t) {
-                    ++k;
-                    continue;
-                }
-                CombineRecord r = st.records[k];
-                st.records.erase(
-                    st.records.begin() +
-                    static_cast<std::ptrdiff_t>(k));
-                PacketPtr sub = outs[i]->clone();
-                sub->dest = DestSpec::unicast(r.absorbedSrc);
-                sub->decodedDestValid = false;
-                sub->combineOperand = combineApply(
-                    r.op, outs[i]->combineOperand, r.prefix);
-                sub->combineTicket = r.absorbedTicket;
-                sub->combineCookie = r.absorbedCookie;
-                outs.push_back(std::move(sub));
-            }
-        }
+        CombineLedger &records = it->second.records;
+        for (std::size_t i = 0; i < outs.size(); ++i)
+            for (const CombineRecord &r :
+                 records.take(outs[i]->combineTicket))
+                outs.push_back(decombine(*outs[i], r));
     }
 
     // All replies leave at once: the hardware primitive charges no
@@ -472,15 +438,7 @@ SoftwareTransport::hwCombineReply(NodeId home, PacketPtr pkt)
     Tick when = nowOf(home) + _pipeLatency;
     for (PacketPtr &out : outs) {
         NodeId dst = out->dest.unicastDest();
-        if (_router) {
-            routeArrival(home, dst, when, std::move(out));
-        } else {
-            _eq.scheduleAfter(_pipeLatency,
-                              [this, dst,
-                               p = std::move(out)]() mutable {
-                                  arrive(dst, std::move(p));
-                              });
-        }
+        routeArrival(home, dst, when, std::move(out));
     }
 
     // Release the pending aggregate into the endpoint (it is the
@@ -527,7 +485,7 @@ SoftwareTransport::swCombineAccept(NodeId x, PacketPtr pkt)
     std::uint64_t key = pkt->combineKey;
     auto it = c.pending.find(key);
     if (it != c.pending.end()) {
-        Packet &rep = *it->second;
+        Packet &rep = *it->second.agg;
         if (rep.combineOp != pkt->combineOp) {
             // Mixed ops on one key: skip the combiner and climb
             // the tree alone. Still a real tree hop: re-address to
@@ -541,21 +499,11 @@ SoftwareTransport::swCombineAccept(NodeId x, PacketPtr pkt)
             swForward(x, std::move(pkt));
             return;
         }
-        CombineRecord r;
-        r.repTicket = rep.combineTicket;
-        r.absorbedTicket = pkt->combineTicket;
-        r.absorbedSrc = pkt->src;
-        r.absorbedCookie = pkt->combineCookie;
-        r.prefix = rep.combineOperand;
-        r.op = rep.combineOp;
-        c.records.push_back(r);
-        rep.combineOperand = combineApply(rep.combineOp,
-                                          rep.combineOperand,
-                                          pkt->combineOperand);
+        c.records.add(absorb(rep, *pkt));
         return; // absorbed
     }
-    c.pendingFrom[key] = pkt->src;
-    c.pending.emplace(key, std::move(pkt));
+    NodeId from = pkt->src;
+    c.pending.emplace(key, SwCombiner::Pending{std::move(pkt), from});
     queueOf(x).scheduleAfter(_cfg.swCombineWindow,
                              [this, x, key] {
                                  swCombineFlush(x, key);
@@ -569,10 +517,9 @@ SoftwareTransport::swCombineFlush(NodeId x, std::uint64_t key)
     auto it = c.pending.find(key);
     if (it == c.pending.end())
         return; // already flushed
-    PacketPtr agg = std::move(it->second);
+    PacketPtr agg = std::move(it->second.agg);
+    c.fwdFrom[agg->combineTicket] = it->second.from;
     c.pending.erase(it);
-    c.fwdFrom[agg->combineTicket] = c.pendingFrom[key];
-    c.pendingFrom.erase(key);
     agg->dest = DestSpec::unicast(swParent(x, agg->combineHome));
     agg->decodedDestValid = false;
     swForward(x, std::move(agg));
@@ -599,21 +546,8 @@ SoftwareTransport::swReplyArrive(NodeId x, PacketPtr pkt)
     std::uint64_t t = pkt->combineTicket;
 
     // Decombine the merges this node performed for that aggregate.
-    for (std::size_t k = 0; k < c.records.size();) {
-        if (c.records[k].repTicket != t) {
-            ++k;
-            continue;
-        }
-        CombineRecord r = c.records[k];
-        c.records.erase(c.records.begin() +
-                        static_cast<std::ptrdiff_t>(k));
-        PacketPtr sub = pkt->clone();
-        sub->dest = DestSpec::unicast(r.absorbedSrc);
-        sub->decodedDestValid = false;
-        sub->combineOperand =
-            combineApply(r.op, pkt->combineOperand, r.prefix);
-        sub->combineTicket = r.absorbedTicket;
-        sub->combineCookie = r.absorbedCookie;
+    for (const CombineRecord &r : c.records.take(t)) {
+        PacketPtr sub = decombine(*pkt, r);
         if (r.absorbedSrc == x) {
             // This node's own request, absorbed here: complete it.
             deliverLocal(x, std::move(sub));

@@ -37,6 +37,7 @@
 #include "sim/event_queue.hh"
 #include "sim/hashing.hh"
 #include "sim/stats.hh"
+#include "transport/combine_ledger.hh"
 #include "transport/net_config.hh"
 #include "transport/software_fanout.hh"
 #include "transport/transport.hh"
@@ -56,9 +57,6 @@ class SoftwareTransport : public Transport
 
     const NetConfig &config() const { return _cfg; }
 
-    /** Uncontended end-to-end latency of one message. */
-    Tick pipeLatency() const { return _pipeLatency; }
-
     void attach(NodeId n, Endpoint *ep) override;
     bool tryInject(PacketPtr &&pkt) override;
     void deliveryRetry(NodeId n) override;
@@ -75,19 +73,6 @@ class SoftwareTransport : public Transport
     }
 
     bool bindShards(shard::Router *router) override;
-
-    /**
-     * Ideal executes combinable atomics as a zero-contention
-     * hardware primitive (home-side combining station); direct
-     * falls back to sender-side software combining trees — the
-     * no-offload baseline (docs/ARCHITECTURE.md).
-     */
-    CombineMode
-    combineMode() const override
-    {
-        return _softwareFanout ? CombineMode::SoftwareTree
-                               : CombineMode::Hardware;
-    }
 
     unsigned injectCapacity(NodeId n) const override;
 
@@ -130,21 +115,6 @@ class SoftwareTransport : public Transport
 
   private:
     /**
-     * One recorded merge of combinable requests, kept where the
-     * merge happened so the reply can be decombined there (same
-     * algebra as the switch CombineTable; transport/combine.hh).
-     */
-    struct CombineRecord
-    {
-        std::uint64_t repTicket = 0;
-        std::uint64_t absorbedTicket = 0;
-        NodeId absorbedSrc = invalidNode;
-        std::uint32_t absorbedCookie = 0;
-        std::uint64_t prefix = 0;
-        CombineOp op = CombineOp::FetchAdd;
-    };
-
-    /**
      * Ideal's hardware combining station at the home's interface:
      * while one request per key is outstanding at the endpoint, the
      * next becomes pending and later arrivals fold into it, so a
@@ -158,7 +128,8 @@ class SoftwareTransport : public Transport
          * serially past the station) must not release pending. */
         std::uint64_t outstandingTicket = 0;
         PacketPtr pending;
-        std::vector<CombineRecord> records;
+        /** Merges folded into this key's aggregates, by rep. */
+        CombineLedger records;
     };
 
     /**
@@ -169,14 +140,17 @@ class SoftwareTransport : public Transport
      */
     struct SwCombiner
     {
+        /** An aggregate being built and the node its rep came from. */
+        struct Pending
+        {
+            PacketPtr agg;
+            NodeId from = invalidNode;
+        };
+
         /** combineKey -> aggregate being built. */
-        std::unordered_map<std::uint64_t, PacketPtr, U64MixHash>
-            pending;
-        /** combineKey -> node the aggregate's rep arrived from. */
-        std::unordered_map<std::uint64_t, NodeId, U64MixHash>
-            pendingFrom;
-        /** Merges performed here, popped on the reply descent. */
-        std::vector<CombineRecord> records;
+        std::unordered_map<std::uint64_t, Pending, U64MixHash> pending;
+        /** Merges performed here, taken on the reply descent. */
+        CombineLedger records;
         /** Forwarded ticket -> where its reply should continue. */
         std::unordered_map<std::uint64_t, NodeId, U64MixHash>
             fwdFrom;
@@ -225,6 +199,12 @@ class SoftwareTransport : public Transport
     void sendOne(Injector &inj, NodeId n, PacketPtr pkt);
     void arrive(NodeId dst, PacketPtr pkt);
     void pumpDelivery(NodeId dst);
+
+    /**
+     * Schedule @p pkt's arrival at @p dst for tick @p when, sent by
+     * @p src: through the shard router when sharded (crossing shards
+     * if @p dst lives on another), else on the one event queue.
+     */
     void routeArrival(NodeId src, NodeId dst, Tick when,
                       PacketPtr pkt);
 

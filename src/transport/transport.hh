@@ -138,24 +138,6 @@ class Transport
         return pkt.decodedDestCache;
     }
 
-    // --- combinable-operation capability (docs/ARCHITECTURE.md) ---
-
-    /**
-     * How this backend executes combinable typed atomics
-     * (Packet::combinable; src/transport/combine.hh). Every backend
-     * must transport them correctly — the mode only says where the
-     * fan-in work happens, which is what the hot-spot benchmarks
-     * compare.
-     */
-    enum class CombineMode : std::uint8_t
-    {
-        InFabric,  ///< merged/decombined at switches (multistage)
-        Hardware,  ///< zero-contention hardware primitive (ideal)
-        SoftwareTree, ///< sender-side combining trees (direct)
-    };
-
-    virtual CombineMode combineMode() const = 0;
-
     // --- sharded simulation (src/shard, docs/ARCHITECTURE.md) -----
 
     /**

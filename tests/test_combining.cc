@@ -35,11 +35,38 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "transport/combine.hh"
+#include "transport/combine_ledger.hh"
 
 namespace cenju
 {
 namespace
 {
+
+struct TestPacket : Packet
+{
+    std::unique_ptr<Packet>
+    clone() const override
+    {
+        return std::make_unique<TestPacket>(*this);
+    }
+};
+
+/** A combinable request as a backend sees it at a merge point. */
+TestPacket
+request(NodeId src, CombineOp op, std::uint64_t operand,
+        std::uint64_t ticket)
+{
+    TestPacket p;
+    p.src = src;
+    p.dest = DestSpec::unicast(0);
+    p.combinable = true;
+    p.combineOp = op;
+    p.combineOperand = operand;
+    p.combineKey = 0x40;
+    p.combineTicket = ticket;
+    p.combineCookie = std::uint32_t(100 + src);
+    return p;
+}
 
 // --- algebra ----------------------------------------------------------
 
@@ -91,7 +118,59 @@ TEST(CombineAlgebra, MergeThenDecombineEqualsSerial)
         EXPECT_EQ(reply_a, ra) << combineOpName(op);
         EXPECT_EQ(reply_b, rb) << combineOpName(op);
         EXPECT_EQ(reply_c, rc) << combineOpName(op);
+
+        // The same nested merge through the helpers every backend
+        // uses: c absorbs into b, then b (carrying c) into a.
+        TestPacket pa = request(1, op, a, 11);
+        TestPacket pb = request(2, op, b, 12);
+        TestPacket pc = request(3, op, c, 13);
+        CombineRecord recC = absorb(pb, pc);
+        CombineRecord recB = absorb(pa, pb);
+        EXPECT_EQ(recC.repTicket, 12u);
+        EXPECT_EQ(recB.repTicket, 11u);
+        EXPECT_EQ(pa.combineOperand, acc_a) << combineOpName(op);
+        EXPECT_EQ(combineApply(op, M, pa.combineOperand), mem)
+            << combineOpName(op);
+
+        TestPacket replyA = pa;
+        replyA.dest = DestSpec::unicast(pa.src);
+        replyA.combinedReply = true;
+        replyA.combineOperand = M;
+        PacketPtr replyB = decombine(replyA, recB);
+        PacketPtr replyC = decombine(*replyB, recC);
+        EXPECT_EQ(replyB->combineOperand, rb) << combineOpName(op);
+        EXPECT_EQ(replyC->combineOperand, rc) << combineOpName(op);
+        EXPECT_EQ(replyB->dest.unicastDest(), 2u);
+        EXPECT_EQ(replyC->dest.unicastDest(), 3u);
+        EXPECT_EQ(replyB->combineTicket, 12u);
+        EXPECT_EQ(replyC->combineTicket, 13u);
+        EXPECT_EQ(replyB->combineCookie, 102u);
+        EXPECT_EQ(replyC->combineCookie, 103u);
+        EXPECT_TRUE(replyC->combinedReply);
     }
+}
+
+TEST(CombineLedgerUnit, TakesEachRepsRecordsInMergeOrder)
+{
+    CombineLedger l;
+    TestPacket rep = request(1, CombineOp::FetchAdd, 1, 10);
+    TestPacket other = request(2, CombineOp::FetchAdd, 1, 20);
+    for (std::uint64_t t : {31u, 32u, 33u}) {
+        TestPacket p = request(3, CombineOp::FetchAdd, 1, t);
+        l.add(absorb(t == 32 ? other : rep, p));
+    }
+    EXPECT_EQ(l.size(), 3u);
+    EXPECT_TRUE(l.take(99).empty());
+    CombineLedger::Records recs = l.take(10);
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].absorbedTicket, 31u);
+    EXPECT_EQ(recs[1].absorbedTicket, 33u);
+    EXPECT_EQ(recs[0].prefix, 1u);
+    EXPECT_EQ(recs[1].prefix, 2u);
+    EXPECT_TRUE(l.take(10).empty());
+    EXPECT_EQ(l.size(), 1u);
+    EXPECT_EQ(l.take(20).size(), 1u);
+    EXPECT_TRUE(l.empty());
 }
 
 // --- combining table --------------------------------------------------
@@ -101,20 +180,18 @@ TEST(CombineTableUnit, AliasedTicketsSkipNotCorrupt)
     CombineTable t(2);
     // Absorbed tickets 1 and 3 alias onto slot 1; 2 takes slot 0.
     EXPECT_TRUE(t.canRecord(1));
-    t.store(CombineTable::Record{/*key=*/0x40, /*repTicket=*/10,
-                                 /*absorbedTicket=*/1,
-                                 /*absorbedSrc=*/5,
-                                 /*absorbedCookie=*/1,
-                                 /*prefix=*/7, CombineOp::FetchAdd,
-                                 true});
+    TestPacket rep = request(4, CombineOp::FetchAdd, 7, 10);
+    TestPacket absorbed = request(5, CombineOp::FetchAdd, 1, 1);
+    t.store(absorb(rep, absorbed));
     EXPECT_FALSE(t.canRecord(3)); // aliased: merge must be skipped
     EXPECT_TRUE(t.canRecord(2));  // other slot: fine
     EXPECT_EQ(t.activeCount(), 1u);
 
-    std::vector<CombineTable::Record> recs;
-    t.takeMatches(/*rep_ticket=*/99, recs);
-    EXPECT_TRUE(recs.empty()); // different rep: nothing popped
-    t.takeMatches(/*rep_ticket=*/10, recs);
+    // Different rep: nothing taken, the slot stays held.
+    EXPECT_TRUE(t.take(/*rep_ticket=*/99).empty());
+    EXPECT_EQ(t.activeCount(), 1u);
+    EXPECT_FALSE(t.canRecord(3));
+    CombineLedger::Records recs = t.take(/*rep_ticket=*/10);
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_EQ(recs[0].absorbedTicket, 1u);
     EXPECT_EQ(recs[0].prefix, 7u);
@@ -122,16 +199,18 @@ TEST(CombineTableUnit, AliasedTicketsSkipNotCorrupt)
     EXPECT_TRUE(t.canRecord(3)); // slot free again
 }
 
-// --- raw multistage fixtures ------------------------------------------
-
-struct TestPacket : Packet
+TEST(CombineTableUnitDeathTest, StoreIntoOccupiedSlotPanics)
 {
-    std::unique_ptr<Packet>
-    clone() const override
-    {
-        return std::make_unique<TestPacket>(*this);
-    }
-};
+    CombineTable t(2);
+    TestPacket rep = request(4, CombineOp::FetchAdd, 7, 10);
+    TestPacket first = request(5, CombineOp::FetchAdd, 1, 1);
+    TestPacket aliased = request(6, CombineOp::FetchAdd, 1, 3);
+    t.store(absorb(rep, first));
+    CombineRecord r = absorb(rep, aliased);
+    EXPECT_DEATH(t.store(r), "slot 1 already occupied");
+}
+
+// --- raw multistage fixtures ------------------------------------------
 
 /** Endpoint keeping every delivered packet for inspection. */
 class KeepEndpoint : public Endpoint

@@ -245,12 +245,18 @@ TEST(CombineExhaustion, AliasedSlotsSkipMergeInsteadOfBlocking)
     // Records for merged requests stay live until their reply
     // descends; nothing may leak past that bound.
     std::uint64_t live = 0;
-    for (unsigned s = 0; s < f.net->topology().stages(); ++s)
+    for (unsigned s = 0; s < f.net->topology().stages(); ++s) {
         for (unsigned r = 0;
-             r < f.net->topology().rowsPerStage(); ++r)
-            live += f.net->switchAt(s, r)
-                        .combineTable()
-                        .activeCount();
+             r < f.net->topology().rowsPerStage(); ++r) {
+            const CombineTable &t =
+                f.net->switchAt(s, r).combineTable();
+            live += t.activeCount();
+            // One slot: every ticket aliases onto it, so it takes a
+            // new merge exactly when no record is live.
+            EXPECT_EQ(t.canRecord(0), t.activeCount() == 0)
+                << "switch (" << s << "," << r << ")";
+        }
+    }
     EXPECT_EQ(live, merged);
 }
 

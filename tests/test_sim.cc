@@ -209,20 +209,6 @@ TEST(SampleStat, MergeMatchesCombinedStream)
     EXPECT_NEAR(a.stddev(), all.stddev(), 1e-9);
 }
 
-TEST(Histogram, BucketsAndClamp)
-{
-    Histogram h(10.0, 4);
-    h.sample(5);
-    h.sample(15);
-    h.sample(35);
-    h.sample(1000); // clamps to last bucket
-    EXPECT_EQ(h.counts()[0], 1u);
-    EXPECT_EQ(h.counts()[1], 1u);
-    EXPECT_EQ(h.counts()[2], 0u);
-    EXPECT_EQ(h.counts()[3], 2u);
-    EXPECT_EQ(h.stat().count(), 4u);
-}
-
 TEST(StatGroup, NamedLookupIsStable)
 {
     StatGroup g("test");
