@@ -85,7 +85,12 @@ decombine(const Packet &reply, const CombineRecord &r)
     return sub;
 }
 
-/** Live merge records of one combining place, by rep ticket. */
+/**
+ * Live merge records of one combining place, indexed by rep ticket
+ * so take() costs O(matches): a hot-spot storm takes once per reply
+ * per switch stage, and a scan over all live records there would
+ * dominate the 1024-node bench's host time.
+ */
 class CombineLedger
 {
   public:
