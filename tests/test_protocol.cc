@@ -646,6 +646,42 @@ TEST(Protocol, StoreLatencyScalableWithMulticast)
     EXPECT_GT(off32, on32);
 }
 
+TEST(Protocol, SixStageMulticastStoreLatencyIsPinned)
+{
+    // Exact store latency through the 6-stage fabric of a 1024-node
+    // machine: the invalidation multicast fans out over every
+    // switch stage and the acknowledgements gather back, so these
+    // values pin multicast port selection and gather wait patterns
+    // at full scale (Figure 10's multicast curve). The switch copy
+    // and merge counts of the store pin which ports were chosen.
+    struct Result
+    {
+        Tick latency;
+        std::uint64_t copies;
+        std::uint64_t absorbed;
+    };
+    auto storeSharedBy = [](unsigned k) {
+        Sys s(1024);
+        Addr a = addr_map::makeShared(0, 0x8000);
+        for (unsigned i = 0; i < k; ++i)
+            s.load(i, a);
+        s.eq.run();
+        std::uint64_t copies0 = s.net->multicastCopies().value();
+        std::uint64_t absorbed0 = s.net->gatherAbsorbed().value();
+        Tick t = s.storeLatency(1, a, 42);
+        return Result{t, s.net->multicastCopies().value() - copies0,
+                      s.net->gatherAbsorbed().value() - absorbed0};
+    };
+    for (auto [k, copies, absorbed] :
+         {std::tuple{4u, 3ull, 3ull}, std::tuple{64u, 63ull, 63ull},
+          std::tuple{1024u, 1023ull, 1023ull}}) {
+        Result r = storeSharedBy(k);
+        EXPECT_EQ(r.latency, 4920u) << k << " sharers";
+        EXPECT_EQ(r.copies, copies) << k << " sharers";
+        EXPECT_EQ(r.absorbed, absorbed) << k << " sharers";
+    }
+}
+
 TEST(Protocol, SinglecastUsedForOneTarget)
 {
     // Paper section 4.1: one invalidation target uses a singlecast
