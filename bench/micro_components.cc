@@ -67,7 +67,7 @@ BM_CenjuMapPackUnpack(benchmark::State &state)
 BENCHMARK(BM_CenjuMapPackUnpack)->Arg(2)->Arg(8)->Arg(64);
 
 void
-BM_TopologyRoute(benchmark::State &state)
+BM_TopologyHop(benchmark::State &state)
 {
     Topology topo(static_cast<unsigned>(state.range(0)));
     Rng rng(4);
@@ -76,11 +76,13 @@ BM_TopologyRoute(benchmark::State &state)
             static_cast<NodeId>(rng.below(topo.numNodes()));
         NodeId d =
             static_cast<NodeId>(rng.below(topo.numNodes()));
-        auto hops = topo.route(s, d);
-        benchmark::DoNotOptimize(hops);
+        for (unsigned st = 0; st < topo.stages(); ++st) {
+            RouteHop h = topo.hop(s, d, st);
+            benchmark::DoNotOptimize(h);
+        }
     }
 }
-BENCHMARK(BM_TopologyRoute)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_TopologyHop)->Arg(16)->Arg(128)->Arg(1024);
 
 /** Host cost of simulating one unicast end to end. */
 void

@@ -154,9 +154,7 @@ Network::pumpInjector(NodeId n)
     inj.q.pop_front();
     inj.busy = true;
 
-    Tick occ = _cfg.portOccupancyHeader +
-               static_cast<Tick>(pkt->sizeBytes *
-                                 _cfg.portOccupancyPerByte);
+    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
     _eq.scheduleAfter(
         _cfg.injectLatency,
         [&sw0, port = inj.swPort, p = std::move(pkt)]() mutable {
@@ -193,9 +191,8 @@ Network::descendReply(PacketPtr pkt, int stage)
     // The reply retraces the request's forward route in reverse;
     // every merge the surviving request performed was recorded at a
     // switch on that route, keyed by the absorbed packet's ticket.
-    auto hops = _topo.route(requester, pkt->src);
     unsigned s = static_cast<unsigned>(stage);
-    XbarSwitch &sw = switchAt(s, hops[s].row);
+    XbarSwitch &sw = switchAt(s, _topo.hop(requester, pkt->src, s).row);
     CombineLedger::Records recs =
         sw.combineTable().take(pkt->combineTicket);
     Tick delay = _cfg.stageLatency +
@@ -257,9 +254,7 @@ Network::ejectDeliver(NodeId n, PacketPtr pkt)
 void
 Network::registerEjectWaiter(NodeId n, XbarSwitch *sw, unsigned out)
 {
-    _ejectWaiters.emplace_back(sw, out);
-    // Tag the waiter with the node so deliveryRetry can find it.
-    _ejectWaiterNodes.push_back(n);
+    _ejectWaiters.push_back({n, sw, out});
 }
 
 void
@@ -273,14 +268,11 @@ Network::deliveryRetry(NodeId n)
         ejectDeliver(n, std::move(p));
     }
     for (std::size_t i = 0; i < _ejectWaiters.size();) {
-        if (_ejectWaiterNodes[i] == n) {
-            auto [sw, out] = _ejectWaiters[i];
+        if (_ejectWaiters[i].node == n) {
+            EjectWaiter w = _ejectWaiters[i];
             _ejectWaiters.erase(_ejectWaiters.begin() +
                                 static_cast<std::ptrdiff_t>(i));
-            _ejectWaiterNodes.erase(
-                _ejectWaiterNodes.begin() +
-                static_cast<std::ptrdiff_t>(i));
-            sw->unblockEject(out);
+            w.sw->unblockEject(w.out);
         } else {
             ++i;
         }

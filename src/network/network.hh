@@ -152,6 +152,14 @@ class Network final : public Transport
         unsigned swPort = 0;
     };
 
+    /** A final-stage output blocked on a full endpoint. */
+    struct EjectWaiter
+    {
+        NodeId node;
+        XbarSwitch *sw;
+        unsigned out;
+    };
+
     void pumpInjector(NodeId n);
 
     /**
@@ -175,8 +183,7 @@ class Network final : public Transport
     std::vector<std::unique_ptr<XbarSwitch>> _switches;
     std::vector<Injector> _injectors;
     std::vector<Endpoint *> _endpoints;
-    std::vector<std::pair<XbarSwitch *, unsigned>> _ejectWaiters;
-    std::vector<NodeId> _ejectWaiterNodes;
+    std::vector<EjectWaiter> _ejectWaiters;
 
     /** Combined replies refused at the endpoint, per node. */
     std::vector<std::deque<PacketPtr>> _combineParked;

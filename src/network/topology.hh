@@ -1,7 +1,7 @@
 /**
  * @file
  * Radix-4 omega (multistage shuffle-exchange) topology: wiring,
- * destination-tag routing, and per-port reachability sets.
+ * destination-tag routing, and per-port reachable node ranges.
  *
  * Cenju-4's network is built from 4x4 crossbar switches and changes
  * its stage count with the system size: 2 stages up to 16 nodes, 4
@@ -18,15 +18,28 @@
  * (S-1-s) of d at stage s, and each (source, destination) pair has
  * exactly one path — giving the in-order delivery the coherence
  * protocol relies on.
+ *
+ * Both routes and reachability are closed form in that algebra.
+ * Entering stage s, the channel holds the low S-1-s digits of the
+ * source followed by the top s digits of the destination, and leaves
+ * it with the destination's digit s appended:
+ *  - the hop of src -> dst at stage s has row = (src mod 4^(S-1-s))
+ *    * 4^s + (dst >> 2(S-s)), input port = digit s of src and output
+ *    port = digit s of dst (hop());
+ *  - output p of switch (s, row) leads to channel c = row * 4 + p,
+ *    whose low s+1 digits are the top s+1 digits of every
+ *    destination behind it, so it reaches exactly the node range
+ *    [lo, lo + 4^(S-1-s)) with lo = (c mod 4^(s+1)) * 4^(S-1-s),
+ *    clipped to the real nodes (reach()).
  */
 
 #ifndef CENJU_NETWORK_TOPOLOGY_HH
 #define CENJU_NETWORK_TOPOLOGY_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
-#include "directory/node_set.hh"
 #include "sim/types.hh"
 #include "transport/net_config.hh"
 
@@ -36,10 +49,16 @@ namespace cenju
 /** One hop of a route: which switch, entering and leaving where. */
 struct RouteHop
 {
-    unsigned stage;
     unsigned row;     ///< switch index within the stage
     unsigned inPort;  ///< input port (0..3)
     unsigned outPort; ///< output port (0..3)
+};
+
+/** Node ids [lo, hi); empty when hi == lo. */
+struct NodeRange
+{
+    NodeId lo;
+    NodeId hi;
 };
 
 /** Static structure of one omega network instance. */
@@ -91,17 +110,28 @@ class Topology
         return (dst >> shift) & 0x3;
     }
 
-    /** Full unique route from @p src to @p dst. */
-    std::vector<RouteHop> route(NodeId src, NodeId dst) const;
+    /** Hop at @p stage of the unique route from @p src to @p dst. */
+    RouteHop
+    hop(NodeId src, NodeId dst, unsigned stage) const
+    {
+        unsigned keep = 2 * (_stages - 1 - stage); // src bits left
+        unsigned row = ((src & ((1u << keep) - 1)) << (2 * stage)) |
+                       (dst >> (2 * (_stages - stage)));
+        return {row, routeDigit(src, stage), routeDigit(dst, stage)};
+    }
 
     /**
-     * Endpoints reachable from output @p port of switch
-     * (@p stage, @p row), restricted to real nodes. Precomputed.
+     * Real nodes reachable from output @p port of switch
+     * (@p stage, @p row): one contiguous id range.
      */
-    const NodeSet &
+    NodeRange
     reach(unsigned stage, unsigned row, unsigned port) const
     {
-        return _reach[portIndex(stage, row, port)];
+        unsigned span = 2 * (_stages - 1 - stage); // log2 of the span
+        unsigned prefix = (row * switchRadix + port) &
+                          ((1u << (2 * (stage + 1))) - 1);
+        NodeId lo = std::min(prefix << span, _numNodes);
+        return {lo, std::min(lo + (1u << span), _numNodes)};
     }
 
     /** 4-way perfect shuffle: left-rotate the S base-4 digits. */
@@ -113,18 +143,9 @@ class Topology
     }
 
   private:
-    unsigned
-    portIndex(unsigned stage, unsigned row, unsigned port) const
-    {
-        return (stage * rowsPerStage() + row) * switchRadix + port;
-    }
-
-    void buildReach();
-
     unsigned _numNodes;
     unsigned _stages;
     unsigned _channels;
-    std::vector<NodeSet> _reach;
 };
 
 } // namespace cenju

@@ -2,6 +2,8 @@
 
 #include "network/network.hh"
 
+#include <bit>
+
 namespace cenju
 {
 
@@ -14,22 +16,38 @@ XbarSwitch::XbarSwitch(EventQueue &eq, Network &net,
       _combine(cfg.combineTableEntries)
 {}
 
-std::vector<unsigned>
+namespace
+{
+
+/**
+ * Call @p fn for each port in @p mask, lowest first: multicast
+ * copies go out in ascending port order.
+ */
+template <typename Fn>
+void
+forEachPort(std::uint8_t mask, Fn &&fn)
+{
+    for (unsigned m = mask; m; m &= m - 1)
+        fn(static_cast<unsigned>(std::countr_zero(m)));
+}
+
+} // namespace
+
+std::uint8_t
 XbarSwitch::targetPorts(const Packet &pkt) const
 {
-    std::vector<unsigned> ports;
-    if (pkt.dest.kind() == DestSpec::Kind::Unicast) {
-        ports.push_back(_topo.routeDigit(pkt.dest.unicastDest(),
-                                         _stage));
-        return ports;
-    }
-    // Multicast: cover every output port whose reachable set
-    // intersects the decoded destination set (the in-switch
-    // calculation of paper Figure 5a).
+    if (pkt.dest.kind() == DestSpec::Kind::Unicast)
+        return std::uint8_t(
+            1u << _topo.routeDigit(pkt.dest.unicastDest(), _stage));
+    // Multicast: cover every output port whose reachable range
+    // holds a decoded destination (the in-switch calculation of
+    // paper Figure 5a).
     const NodeSet &dests = _net.decodedDest(pkt);
+    std::uint8_t ports = 0;
     for (unsigned p = 0; p < switchRadix; ++p) {
-        if (_topo.reach(_stage, _row, p).intersects(dests))
-            ports.push_back(p);
+        NodeRange r = _topo.reach(_stage, _row, p);
+        if (dests.intersectsRange(r.lo, r.hi))
+            ports |= std::uint8_t(1u << p);
     }
     return ports;
 }
@@ -46,35 +64,28 @@ XbarSwitch::gatherWaitPattern(const Packet &pkt) const
     NodeId home = pkt.dest.unicastDest();
     std::uint8_t pattern = 0;
     pkt.gatherGroup->forEach([&](NodeId v) {
-        auto hops = _topo.route(v, home);
-        const RouteHop &h = hops[_stage];
+        RouteHop h = _topo.hop(v, home, _stage);
         if (h.row == _row)
             pattern |= std::uint8_t(1u << h.inPort);
     });
     return pattern;
 }
 
-Tick
-XbarSwitch::occupancyTime(const Packet &pkt) const
-{
-    return _cfg.portOccupancyHeader +
-           static_cast<Tick>(pkt.sizeBytes *
-                             _cfg.portOccupancyPerByte);
-}
-
 bool
 XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
 {
-    std::vector<unsigned> outs = targetPorts(pkt);
-    if (outs.empty())
+    std::uint8_t outs = targetPorts(pkt);
+    if (!outs)
         panic("packet with no target ports at stage %u", _stage);
     unsigned cap = _cfg.xbCapacity;
     if (auto *h = _net.faultHook())
         cap = h->xbCapacity(_stage, _row, cap);
-    for (unsigned o : outs) {
-        if (_xb[in_port][o].used() >= cap)
-            return false;
-    }
+    bool full = false;
+    forEachPort(outs, [&](unsigned o) {
+        full |= _xb[in_port][o].used() >= cap;
+    });
+    if (full)
+        return false;
     if (pkt.gathered && !_gather.canReserve(pkt.gatherId)) {
         // The table slot is held by a different in-flight gather
         // (identifier aliasing on an undersized table): exert
@@ -85,8 +96,8 @@ XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
         ++_gatherBlockCount;
         return false;
     }
-    for (unsigned o : outs)
-        ++_xb[in_port][o].reserved;
+    forEachPort(outs,
+                [&](unsigned o) { ++_xb[in_port][o].reserved; });
     if (pkt.gathered)
         _gather.reserveArrival(pkt.gatherId);
     return true;
@@ -95,11 +106,12 @@ XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
 void
 XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
 {
-    std::vector<unsigned> outs = targetPorts(*pkt);
+    std::uint8_t outs = targetPorts(*pkt);
+    bool single = std::has_single_bit(outs);
 
     if (pkt->gathered) {
-        if (outs.size() != 1)
-            panic("gathered packet with %zu targets", outs.size());
+        if (!single)
+            panic("gathered packet with port mask %#x", unsigned(outs));
         std::uint8_t pattern = gatherWaitPattern(*pkt);
         std::uint16_t gid = pkt->gatherId;
         auto res = _gather.absorb(gid, in_port, pattern);
@@ -110,7 +122,7 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
         }
         ++_net.gatherForwarded();
         // Forward the last reply after the merge overhead.
-        unsigned out = outs[0];
+        unsigned out = std::countr_zero(outs);
         _eq.scheduleAfter(_cfg.gatherMergeLatency,
                           [this, in_port, out,
                            p = std::move(pkt)]() mutable {
@@ -130,18 +142,19 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
     // In-network combining (ROADMAP item 4): a combinable request
     // arriving while a same-key request is still queued for the
     // same output folds into it and dies here.
-    if (pkt->combinable && !pkt->combinedReply && outs.size() == 1 &&
-        tryCombine(in_port, outs[0], pkt)) {
+    if (pkt->combinable && !pkt->combinedReply && single &&
+        tryCombine(in_port, std::countr_zero(outs), pkt)) {
         return; // merged away
     }
 
     // Multicast replication: clone into each covered output's
-    // crosspoint buffer; the original moves into the last one.
-    for (std::size_t k = 0; k + 1 < outs.size(); ++k) {
+    // crosspoint buffer; the original moves into the highest one.
+    unsigned last = std::bit_width(outs) - 1u;
+    forEachPort(outs & ~(1u << last), [&](unsigned o) {
         ++_net.multicastCopies();
-        enqueue(in_port, outs[k], pkt->clone());
-    }
-    enqueue(in_port, outs.back(), std::move(pkt));
+        enqueue(in_port, o, pkt->clone());
+    });
+    enqueue(in_port, last, std::move(pkt));
 }
 
 bool
@@ -169,9 +182,8 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
             }
             _combine.store(absorb(*q, *pkt));
             ++_net.combineMerged();
-            std::vector<unsigned> outs{out};
             pkt.reset();
-            releaseReservation(in_port, outs);
+            releaseReservation(in_port, std::uint8_t(1u << out));
             return true;
         }
     }
@@ -190,15 +202,14 @@ XbarSwitch::enqueue(unsigned in, unsigned out, PacketPtr pkt)
 }
 
 void
-XbarSwitch::releaseReservation(unsigned in,
-                               const std::vector<unsigned> &outs)
+XbarSwitch::releaseReservation(unsigned in, std::uint8_t outs)
 {
-    for (unsigned o : outs) {
+    forEachPort(outs, [&](unsigned o) {
         Fifo &f = _xb[in][o];
         if (f.reserved == 0)
             panic("release without reservation (%u,%u)", in, o);
         --f.reserved;
-    }
+    });
     inputSpaceFreed(in);
 }
 
@@ -230,7 +241,6 @@ XbarSwitch::arbitrate(unsigned out)
         h && h->switchOutputHeld(_stage, _row, out))
         return; // stall window; faultKick() re-arbitrates
 
-
     for (unsigned k = 0; k < switchRadix; ++k) {
         unsigned in = (_rr[out] + k) % switchRadix;
         Fifo &f = _xb[in][out];
@@ -248,27 +258,7 @@ XbarSwitch::arbitrate(unsigned out)
                 _net.registerEjectWaiter(node, this, out);
                 return;
             }
-            PacketPtr pkt = std::move(f.q.front());
-            f.q.pop_front();
-            _rr[out] = (in + 1) % switchRadix;
-            Tick occ = occupancyTime(*pkt);
-            _busy[out] = true;
-            _eq.scheduleAfter(occ, [this, out] {
-                _busy[out] = false;
-                arbitrate(out);
-            });
-            _eq.scheduleAfter(
-                _cfg.stageLatency + _cfg.ejectLatency,
-                [this, node, p = std::move(pkt)]() mutable {
-                    _net.ejectDeliver(node, std::move(p));
-                });
-            inputSpaceFreed(in);
-            return;
-        }
-
-        XbarSwitch *down = _down[out];
-        unsigned dport = _downPort[out];
-        if (!down->reserve(dport, head)) {
+        } else if (!_down[out]->reserve(_downPort[out], head)) {
             // Wired retry: the downstream fires our input-space
             // callback when (dport, *) space frees.
             return;
@@ -276,16 +266,20 @@ XbarSwitch::arbitrate(unsigned out)
         PacketPtr pkt = std::move(f.q.front());
         f.q.pop_front();
         _rr[out] = (in + 1) % switchRadix;
-        Tick occ = occupancyTime(*pkt);
         _busy[out] = true;
-        _eq.scheduleAfter(occ, [this, out] {
-            _busy[out] = false;
-            arbitrate(out);
-        });
+        _eq.scheduleAfter(_cfg.portOccupancy(pkt->sizeBytes),
+                          [this, out] {
+                              _busy[out] = false;
+                              arbitrate(out);
+                          });
         _eq.scheduleAfter(
-            _cfg.stageLatency,
-            [down, dport, p = std::move(pkt)]() mutable {
-                down->commit(dport, std::move(p));
+            _cfg.stageLatency + (_lastStage ? _cfg.ejectLatency : 0),
+            [this, out, p = std::move(pkt)]() mutable {
+                if (_lastStage)
+                    _net.ejectDeliver(_topo.ejectNode(_row, out),
+                                      std::move(p));
+                else
+                    _down[out]->commit(_downPort[out], std::move(p));
             });
         inputSpaceFreed(in);
         return;

@@ -18,8 +18,8 @@
 #define CENJU_NETWORK_XBAR_SWITCH_HH
 
 #include <array>
+#include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "network/gather_table.hh"
 #include "network/topology.hh"
@@ -93,8 +93,11 @@ class XbarSwitch
      */
     void faultKick();
 
-    /** Output ports a packet entering this switch must cover. */
-    std::vector<unsigned> targetPorts(const Packet &pkt) const;
+    /**
+     * Output ports a packet entering this switch must cover, as a
+     * mask: bit p set = port p.
+     */
+    std::uint8_t targetPorts(const Packet &pkt) const;
 
     /** Gather wait pattern for @p pkt at this switch. */
     std::uint8_t gatherWaitPattern(const Packet &pkt) const;
@@ -142,10 +145,8 @@ class XbarSwitch
     void arbitrate(unsigned out);
     void scheduleArbitrate(unsigned out);
     void enqueue(unsigned in, unsigned out, PacketPtr pkt);
-    void releaseReservation(unsigned in,
-                            const std::vector<unsigned> &outs);
+    void releaseReservation(unsigned in, std::uint8_t outs);
     void inputSpaceFreed(unsigned in);
-    Tick occupancyTime(const Packet &pkt) const;
 
     EventQueue &_eq;
     Network &_net;

@@ -55,6 +55,14 @@ struct NetConfig
     /** Output-port occupancy: per payload byte (ns). */
     double portOccupancyPerByte = 0.5;
 
+    /** Time a packet of @p size_bytes holds an output port (ns). */
+    Tick
+    portOccupancy(unsigned size_bytes) const
+    {
+        return portOccupancyHeader +
+               static_cast<Tick>(size_bytes * portOccupancyPerByte);
+    }
+
     /**
      * Entries in each switch's gather table.
      *

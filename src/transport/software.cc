@@ -98,14 +98,6 @@ SoftwareTransport::attach(NodeId n, Endpoint *ep)
     _endpoints[n] = ep;
 }
 
-Tick
-SoftwareTransport::occupancyOf(const Packet &pkt) const
-{
-    return _cfg.portOccupancyHeader +
-           static_cast<Tick>(pkt.sizeBytes *
-                             _cfg.portOccupancyPerByte);
-}
-
 unsigned
 SoftwareTransport::effectiveInjectCapacity(NodeId n) const
 {
@@ -238,7 +230,7 @@ void
 SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
 {
     inj.busy = true;
-    Tick occ = occupancyOf(*pkt);
+    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
 
     if (!_softwareFanout &&
         pkt->dest.kind() != DestSpec::Kind::Unicast) {
@@ -347,7 +339,7 @@ SoftwareTransport::pumpDelivery(NodeId dst)
             break; // endpoint calls deliveryRetry() on free space
         PacketPtr pkt = std::move(port.q.front());
         port.q.pop_front();
-        Tick occ = occupancyOf(*pkt);
+        Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
         ++port.delivered;
         port.latency.sample(
             static_cast<double>(nowOf(dst) - pkt->injectTick));

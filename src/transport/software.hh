@@ -242,7 +242,6 @@ class SoftwareTransport : public Transport
     EventQueue &queueOf(NodeId n);
     Tick nowOf(NodeId n);
 
-    Tick occupancyOf(const Packet &pkt) const;
     unsigned effectiveInjectCapacity(NodeId n) const;
 
     EventQueue &_eq;

@@ -97,6 +97,56 @@ TEST(NodeSet, ForEachAscendingAndFirst)
     EXPECT_EQ(e.first(), invalidNode);
 }
 
+TEST(NodeSet, IntersectsRangeAcrossWordBoundaries)
+{
+    NodeSet s(300);
+    for (NodeId n : {63u, 64u, 200u})
+        s.insert(n);
+    EXPECT_TRUE(s.intersectsRange(63, 64));
+    EXPECT_TRUE(s.intersectsRange(64, 65));
+    EXPECT_TRUE(s.intersectsRange(60, 70));   // straddles words 0-1
+    EXPECT_FALSE(s.intersectsRange(65, 200)); // spans words 1-3
+    EXPECT_FALSE(s.intersectsRange(0, 63));
+    EXPECT_FALSE(s.intersectsRange(201, 300));
+    EXPECT_FALSE(s.intersectsRange(10, 10)); // empty range
+    EXPECT_FALSE(s.intersectsRange(70, 60)); // inverted range
+
+    // Every range over a sparse set agrees with a contains() scan.
+    NodeSet t(150);
+    for (NodeId n : {0u, 1u, 62u, 63u, 64u, 127u, 128u, 149u})
+        t.insert(n);
+    for (NodeId lo = 0; lo <= 150; ++lo) {
+        for (NodeId hi = lo; hi <= 152; ++hi) {
+            bool expect = false;
+            for (NodeId x = lo; x < hi; ++x)
+                expect |= t.contains(x);
+            ASSERT_EQ(t.intersectsRange(lo, hi), expect)
+                << "[" << lo << ", " << hi << ")";
+        }
+    }
+}
+
+TEST(NodeSet, IntersectsRangeClampsAtCapacity)
+{
+    NodeSet s(130);
+    s.insert(129);
+    EXPECT_TRUE(s.intersectsRange(129, 4096));
+    EXPECT_TRUE(s.intersectsRange(128, 1u << 30));
+    EXPECT_FALSE(s.intersectsRange(130, 4096));
+    EXPECT_FALSE(s.intersectsRange(5000, 6000));
+    NodeSet full(maxNodes);
+    full.insert(maxNodes - 1);
+    EXPECT_TRUE(full.intersectsRange(maxNodes - 1, 4096));
+    EXPECT_FALSE(full.intersectsRange(maxNodes, 4096));
+    EXPECT_FALSE(NodeSet(0).intersectsRange(0, 4096));
+}
+
+TEST(NodeSetDeathTest, CapacityAboveMaxNodesPanics)
+{
+    EXPECT_DEATH(NodeSet(maxNodes + 1), "above maxNodes");
+    EXPECT_DEATH(NodeSet(4096), "above maxNodes");
+}
+
 // --- bit-pattern structure -----------------------------------------
 
 TEST(BitPattern, PaperFigure3Example)

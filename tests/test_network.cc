@@ -7,12 +7,39 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "network/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+
+namespace
+{
+
+/** Heap allocations made by this test binary so far. */
+std::atomic<std::uint64_t> heapAllocs{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace cenju
 {
@@ -110,6 +137,47 @@ struct NetFixture
     std::unique_ptr<Network> net;
     std::vector<std::unique_ptr<RecordingEndpoint>> eps;
 };
+
+TEST(Network, RoutingDecisionsAllocateNothing)
+{
+    // hop(), targetPorts() and gatherWaitPattern() run on every
+    // switch handoff; none of them may touch the heap.
+    NetFixture f(1024);
+    const Topology &t = f.net->topology();
+    BitPattern pat;
+    for (NodeId n : {3u, 64u, 517u, 1000u})
+        pat.add(n);
+    TestPacket mc;
+    mc.src = 9;
+    mc.dest = DestSpec::pattern(pat);
+    TestPacket uc;
+    uc.src = 9;
+    uc.dest = DestSpec::unicast(700);
+    auto group = std::make_shared<NodeSet>(1024u);
+    for (NodeId n = 0; n < 1024; n += 3)
+        group->insert(n);
+    TestPacket gr;
+    gr.src = 6;
+    gr.dest = DestSpec::unicast(12);
+    gr.gathered = true;
+    gr.gatherId = 12;
+    gr.gatherGroup = group;
+    f.net->switchAt(0, 0).targetPorts(mc); // decode the set once
+
+    unsigned sink = 0;
+    std::uint64_t before = heapAllocs.load();
+    for (unsigned s = 0; s < t.stages(); ++s) {
+        for (unsigned row : {0u, 77u, 1023u}) {
+            XbarSwitch &sw = f.net->switchAt(s, row);
+            sink += sw.targetPorts(mc) + sw.targetPorts(uc) +
+                    sw.gatherWaitPattern(gr);
+        }
+        for (NodeId v = 0; v < 1024; v += 7)
+            sink += t.hop(v, 700, s).row;
+    }
+    EXPECT_EQ(heapAllocs.load() - before, 0u);
+    EXPECT_NE(sink, 0u);
+}
 
 TEST(Network, UnicastDeliversOnceWithCalibratedLatency)
 {

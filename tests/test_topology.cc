@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the omega topology: stage-count rule, routing validity
- * and uniqueness, wiring consistency, reachability sets.
+ * Tests for the omega topology: stage-count rule, and the closed-form
+ * hops and reachable ranges checked against a walk of the physical
+ * wiring.
  */
 
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <map>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "network/topology.hh"
 #include "sim/rng.hh"
@@ -43,86 +48,199 @@ TEST(Topology, ChannelsCoverNodes)
     }
 }
 
+/**
+ * Real nodes reachable from every switch output, computed from the
+ * injectPoint/link wiring alone: each final-stage output ejects one
+ * endpoint, and an earlier output reaches whatever the switch it is
+ * linked to reaches. Independent of the closed forms under test.
+ */
+class WiredReach
+{
+  public:
+    explicit WiredReach(const Topology &t)
+        : _t(t), _sets(std::size_t(t.stages()) * t.channels())
+    {
+        unsigned last = t.stages() - 1;
+        for (unsigned row = 0; row < t.rowsPerStage(); ++row) {
+            for (unsigned p = 0; p < switchRadix; ++p) {
+                NodeId n = t.ejectNode(row, p);
+                if (n < t.numNodes())
+                    set(last, row, p).set(n);
+            }
+        }
+        for (unsigned s = last; s-- > 0;) {
+            for (unsigned row = 0; row < t.rowsPerStage(); ++row) {
+                for (unsigned p = 0; p < switchRadix; ++p) {
+                    auto [nrow, nport] = t.link(s, row, p);
+                    (void)nport;
+                    for (unsigned q = 0; q < switchRadix; ++q)
+                        set(s, row, p) |= set(s + 1, nrow, q);
+                }
+            }
+        }
+    }
+
+    const std::bitset<4096> &
+    at(unsigned s, unsigned row, unsigned p) const
+    {
+        return _sets[(s * _t.rowsPerStage() + row) * switchRadix + p];
+    }
+
+  private:
+    std::bitset<4096> &
+    set(unsigned s, unsigned row, unsigned p)
+    {
+        return _sets[(s * _t.rowsPerStage() + row) * switchRadix + p];
+    }
+
+    const Topology &_t;
+    std::vector<std::bitset<4096>> _sets;
+};
+
+/** Up to 64 nodes every case is checked, above that a sample. */
+constexpr unsigned exhaustiveUpTo = 64;
+constexpr unsigned samples = 2000;
+
 class TopologyRouting : public ::testing::TestWithParam<unsigned>
 {};
+
+/**
+ * Walk src -> dst over the wiring: from the injection point, take at
+ * each stage the one output whose wired reach holds dst, and check
+ * hop() names the same switch and ports.
+ */
+void
+checkHopsAgainstWiring(const Topology &t, const WiredReach &w,
+                       NodeId src, NodeId dst)
+{
+    auto [row, in] = t.injectPoint(src);
+    for (unsigned s = 0; s < t.stages(); ++s) {
+        unsigned out = switchRadix;
+        unsigned matches = 0;
+        for (unsigned p = 0; p < switchRadix; ++p) {
+            if (w.at(s, row, p).test(dst)) {
+                out = p;
+                ++matches;
+            }
+        }
+        // Exactly one path per pair: in-order delivery.
+        ASSERT_EQ(matches, 1u) << src << "->" << dst << " stage " << s;
+        RouteHop h = t.hop(src, dst, s);
+        ASSERT_EQ(h.row, row) << src << "->" << dst << " stage " << s;
+        ASSERT_EQ(h.inPort, in) << src << "->" << dst << " stage " << s;
+        ASSERT_EQ(h.outPort, out)
+            << src << "->" << dst << " stage " << s;
+        if (s + 1 < t.stages())
+            std::tie(row, in) = t.link(s, row, out);
+        else
+            ASSERT_EQ(t.ejectNode(row, out), dst);
+    }
+}
 
 TEST_P(TopologyRouting, RoutesAreWellFormed)
 {
     unsigned n = GetParam();
     Topology t(n);
+    WiredReach w(t);
+    if (n <= exhaustiveUpTo) {
+        for (NodeId src = 0; src < n; ++src) {
+            for (NodeId dst = 0; dst < n; ++dst)
+                checkHopsAgainstWiring(t, w, src, dst);
+        }
+        return;
+    }
     Rng rng(n);
-    for (int trial = 0; trial < 500; ++trial) {
+    for (unsigned i = 0; i < samples; ++i) {
         NodeId src = static_cast<NodeId>(rng.below(n));
         NodeId dst = static_cast<NodeId>(rng.below(n));
-        // route() internally panics if it does not land on dst.
-        auto hops = t.route(src, dst);
-        ASSERT_EQ(hops.size(), t.stages());
-
-        // First hop matches the injection point.
-        auto [row0, port0] = t.injectPoint(src);
-        EXPECT_EQ(hops[0].row, row0);
-        EXPECT_EQ(hops[0].inPort, port0);
-
-        // Consecutive hops follow the physical wiring.
-        for (unsigned s = 0; s + 1 < t.stages(); ++s) {
-            auto [nrow, nport] =
-                t.link(s, hops[s].row, hops[s].outPort);
-            EXPECT_EQ(hops[s + 1].row, nrow);
-            EXPECT_EQ(hops[s + 1].inPort, nport);
-        }
-
-        // Final hop ejects at the destination.
-        const RouteHop &last = hops.back();
-        EXPECT_EQ(t.ejectNode(last.row, last.outPort), dst);
-
-        // The output port at each stage is the destination digit.
-        for (unsigned s = 0; s < t.stages(); ++s)
-            EXPECT_EQ(hops[s].outPort, t.routeDigit(dst, s));
+        checkHopsAgainstWiring(t, w, src, dst);
     }
 }
 
 TEST_P(TopologyRouting, PathsAreDeterministic)
 {
+    // The output port at each stage is the destination digit and the
+    // input port the source digit, whatever the other endpoint.
     unsigned n = GetParam();
     Topology t(n);
-    auto a = t.route(0, n - 1);
-    auto b = t.route(0, n - 1);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].row, b[i].row);
-        EXPECT_EQ(a[i].outPort, b[i].outPort);
+    Rng rng(n + 1);
+    for (unsigned i = 0; i < samples; ++i) {
+        NodeId src = static_cast<NodeId>(rng.below(n));
+        NodeId dst = static_cast<NodeId>(rng.below(n));
+        for (unsigned s = 0; s < t.stages(); ++s) {
+            RouteHop h = t.hop(src, dst, s);
+            ASSERT_EQ(h.outPort, t.routeDigit(dst, s));
+            ASSERT_EQ(h.inPort, t.routeDigit(src, s));
+            ASSERT_LT(h.row, t.rowsPerStage());
+        }
+    }
+}
+
+TEST_P(TopologyRouting, ReachRangesMatchWiring)
+{
+    unsigned n = GetParam();
+    Topology t(n);
+    WiredReach w(t);
+    auto check = [&](unsigned s, unsigned row, unsigned p) {
+        NodeRange r = t.reach(s, row, p);
+        ASSERT_LE(r.lo, r.hi);
+        ASSERT_LE(r.hi, n);
+        for (NodeId x = 0; x < n; ++x) {
+            ASSERT_EQ(w.at(s, row, p).test(x), r.lo <= x && x < r.hi)
+                << "stage " << s << " row " << row << " port " << p
+                << " node " << x;
+        }
+    };
+    if (n <= exhaustiveUpTo) {
+        for (unsigned s = 0; s < t.stages(); ++s) {
+            for (unsigned row = 0; row < t.rowsPerStage(); ++row) {
+                for (unsigned p = 0; p < switchRadix; ++p)
+                    check(s, row, p);
+            }
+        }
+        return;
+    }
+    Rng rng(n + 2);
+    for (unsigned i = 0; i < samples; ++i) {
+        check(static_cast<unsigned>(rng.below(t.stages())),
+              static_cast<unsigned>(rng.below(t.rowsPerStage())),
+              static_cast<unsigned>(rng.below(switchRadix)));
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TopologyRouting,
-                         ::testing::Values(4u, 16u, 64u, 128u, 256u,
-                                           1024u));
+                         ::testing::Values(4u, 10u, 16u, 64u, 128u,
+                                           256u, 300u, 1024u));
 
 TEST(Topology, ReachMatchesBruteForce16)
 {
     // Exhaustively: d is reachable from (stage,row,port) iff some
     // route passes through that port toward d.
     Topology t(16);
-    std::map<std::tuple<unsigned, unsigned, unsigned>, NodeSet>
+    std::map<std::tuple<unsigned, unsigned, unsigned>,
+             std::set<NodeId>>
         truth;
-    for (unsigned s = 0; s < t.stages(); ++s) {
-        for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
-            for (unsigned p = 0; p < switchRadix; ++p)
-                truth.emplace(std::make_tuple(s, r, p),
-                              NodeSet(t.channels()));
-        }
-    }
     for (NodeId src = 0; src < 16; ++src) {
         for (NodeId dst = 0; dst < 16; ++dst) {
-            for (const RouteHop &h : t.route(src, dst)) {
-                truth.at({h.stage, h.row, h.outPort}).insert(dst);
+            for (unsigned s = 0; s < t.stages(); ++s) {
+                RouteHop h = t.hop(src, dst, s);
+                truth[{s, h.row, h.outPort}].insert(dst);
             }
         }
     }
-    for (auto &[key, set] : truth) {
-        auto [s, r, p] = key;
-        EXPECT_TRUE(set == t.reach(s, r, p))
-            << "stage " << s << " row " << r << " port " << p;
+    for (unsigned s = 0; s < t.stages(); ++s) {
+        for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
+            for (unsigned p = 0; p < switchRadix; ++p) {
+                NodeRange range = t.reach(s, r, p);
+                std::set<NodeId> expect;
+                for (NodeId x = range.lo; x < range.hi; ++x)
+                    expect.insert(x);
+                const std::set<NodeId> &seen = truth[{s, r, p}];
+                EXPECT_EQ(seen, expect)
+                    << "stage " << s << " row " << r << " port "
+                    << p;
+            }
+        }
     }
 }
 
@@ -132,8 +250,9 @@ TEST(Topology, ReachRestrictedToRealNodes)
     for (unsigned s = 0; s < t.stages(); ++s) {
         for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
             for (unsigned p = 0; p < switchRadix; ++p) {
-                t.reach(s, r, p).forEach(
-                    [](NodeId n) { EXPECT_LT(n, 10u); });
+                NodeRange range = t.reach(s, r, p);
+                EXPECT_LE(range.lo, range.hi);
+                EXPECT_LE(range.hi, 10u);
             }
         }
     }
@@ -146,10 +265,16 @@ TEST(Topology, Stage0ReachPartitionsAllNodes)
     Topology t(64);
     auto [row, port] = t.injectPoint(13);
     (void)port;
-    NodeSet all(t.channels());
-    for (unsigned p = 0; p < switchRadix; ++p)
-        all |= t.reach(0, row, p);
-    EXPECT_EQ(all.count(), 64u);
+    std::set<NodeId> all;
+    unsigned total = 0;
+    for (unsigned p = 0; p < switchRadix; ++p) {
+        NodeRange range = t.reach(0, row, p);
+        total += range.hi - range.lo;
+        for (NodeId x = range.lo; x < range.hi; ++x)
+            all.insert(x);
+    }
+    EXPECT_EQ(all.size(), 64u);
+    EXPECT_EQ(total, 64u); // disjoint
 }
 
 TEST(Topology, ShuffleIsDigitRotation)
