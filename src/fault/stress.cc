@@ -481,13 +481,27 @@ applyCaseKey(StressCase &c, const std::string &key,
         }
         return true;
     };
+    // A zero-slot buffer accepts nothing: the run would drain its
+    // event loop with every access still pending.
+    auto capacity = [&](const char *k, unsigned &field) {
+        unsigned v = 0;
+        if (!number(k, v))
+            return false;
+        if (ok && v == 0) {
+            ok = false;
+            err = "bad " + key + " value '0' (expected at least 1)";
+        } else if (ok) {
+            field = v;
+        }
+        return true;
+    };
     bool known =
         named(transportAxis.key, transportAxis, c.transport) ||
         named(protocolAxis.key, protocolAxis, c.protocol) ||
         named(reliabilityAxis.key, reliabilityAxis, c.reliability) ||
         named("bug", protoBugNames, c.bug) ||
         named("pattern", stressPatternNames, c.workload.pattern) ||
-        number("nodes", c.nodes) || number("xbcap", c.xbCapacity) ||
+        number("nodes", c.nodes) || capacity("xbcap", c.xbCapacity) ||
         number("blocks", c.workload.blocks) ||
         number("ops", c.workload.opsPerNode) ||
         number("rounds", c.workload.rounds) ||

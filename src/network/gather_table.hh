@@ -18,6 +18,11 @@
  * would exhibit — and a slot held by a different in-flight gather
  * exerts back-pressure on the upstream instead of corrupting the
  * merge.
+ *
+ * Only occupied slots are stored, found by a linear scan: a free
+ * slot behaves exactly like an absent one, and a switch holds only
+ * the gathers in flight through it, so the table costs nothing
+ * until a gather passes.
  */
 
 #ifndef CENJU_NETWORK_GATHER_TABLE_HH
@@ -37,7 +42,7 @@ namespace cenju
 class GatherTable
 {
   public:
-    explicit GatherTable(unsigned entries) : _entries(entries)
+    explicit GatherTable(unsigned entries) : _size(entries)
     {
         if (entries == 0)
             panic("gather table needs at least one entry");
@@ -57,8 +62,8 @@ class GatherTable
     bool
     canReserve(std::uint16_t id) const
     {
-        const Entry &e = slot(id);
-        return !e.occupied() || e.owner == id;
+        const Entry *e = find(id);
+        return !e || e->owner == id;
     }
 
     /**
@@ -69,13 +74,16 @@ class GatherTable
     void
     reserveArrival(std::uint16_t id)
     {
-        Entry &e = slot(id);
-        if (!e.occupied())
-            e.owner = id;
-        else if (e.owner != id)
+        Entry *e = find(id);
+        if (!e) {
+            e = &_occupied.emplace_back();
+            e->slot = std::uint16_t(id % _size);
+            e->owner = id;
+        } else if (e->owner != id) {
             panic("gather %u: slot %u owned by gather %u", id,
-                  id % size(), e.owner);
-        ++e.pending;
+                  id % _size, e->owner);
+        }
+        ++e->pending;
     }
 
     /**
@@ -89,77 +97,80 @@ class GatherTable
     absorb(std::uint16_t id, unsigned in_port,
            std::uint8_t full_pattern)
     {
-        Entry &e = slot(id);
-        if (e.owner != id || e.pending == 0)
+        Entry *e = find(id);
+        if (!e || e->owner != id || e->pending == 0)
             panic("gather %u: arrival without reservation", id);
-        --e.pending;
+        --e->pending;
         std::uint8_t bit = static_cast<std::uint8_t>(1u << in_port);
-        if (!e.active) {
+        if (!e->active) {
             if (!(full_pattern & bit)) {
                 panic("gather %u: arrival on port %u not in wait "
                       "pattern 0x%x", id, in_port, full_pattern);
             }
-            e.active = true;
-            e.waitPattern = full_pattern;
-        } else if (!(e.waitPattern & bit)) {
+            e->active = true;
+            e->waitPattern = full_pattern;
+        } else if (!(e->waitPattern & bit)) {
             panic("gather %u: duplicate arrival on port %u", id,
                   in_port);
         }
-        e.waitPattern = static_cast<std::uint8_t>(e.waitPattern & ~bit);
-        if (e.waitPattern == 0) {
-            e.active = false;
-            return Result::Forward;
+        e->waitPattern = static_cast<std::uint8_t>(e->waitPattern & ~bit);
+        if (e->waitPattern != 0)
+            return Result::Absorbed;
+        e->active = false;
+        if (e->pending == 0) {
+            // Slot free again: drop it (order is irrelevant).
+            *e = _occupied.back();
+            _occupied.pop_back();
         }
-        return Result::Absorbed;
+        return Result::Forward;
     }
 
     /** True once every claim on @p id's slot has been released. */
-    bool
-    slotFree(std::uint16_t id) const
-    {
-        return !slot(id).occupied();
-    }
-
-    /** True if the entry for @p id is mid-gather. */
-    bool
-    active(std::uint16_t id) const
-    {
-        const Entry &e = slot(id);
-        return e.active && e.owner == id;
-    }
+    bool slotFree(std::uint16_t id) const { return !find(id); }
 
     /** Number of currently active entries (for tests/stats). */
     unsigned
     activeCount() const
     {
         unsigned n = 0;
-        for (const Entry &e : _entries)
+        for (const Entry &e : _occupied)
             n += e.active;
         return n;
     }
 
-    unsigned size() const { return unsigned(_entries.size()); }
+    unsigned size() const { return _size; }
 
   private:
+    /** One slot claimed by reservations or a live wait pattern. */
     struct Entry
     {
+        std::uint16_t slot = 0;    ///< id % size
         std::uint16_t owner = 0;   ///< full id holding the slot
         std::uint16_t pending = 0; ///< reserved, not yet absorbed
         bool active = false;
         std::uint8_t waitPattern = 0;
-
-        /** Claimed by reservations or a live wait pattern. */
-        bool occupied() const { return active || pending != 0; }
     };
 
-    Entry &slot(std::uint16_t id) { return _entries[id % size()]; }
-    const Entry &
-    slot(std::uint16_t id) const
+    Entry *
+    find(std::uint16_t id)
     {
-        return _entries[id % size()];
+        const std::uint16_t slot = std::uint16_t(id % _size);
+        for (Entry &e : _occupied) {
+            if (e.slot == slot)
+                return &e;
+        }
+        return nullptr;
     }
 
-    std::vector<Entry> _entries;
+    const Entry *
+    find(std::uint16_t id) const
+    {
+        return const_cast<GatherTable *>(this)->find(id);
+    }
+
+    unsigned _size;
+    /** Only the occupied slots: a free slot has no entry. */
+    std::vector<Entry> _occupied;
 };
 
 /**
@@ -186,7 +197,8 @@ class CombineTable
      * Slot storage materializes lazily on the first store(): most
      * switches in most runs never see a combinable request, and at
      * 1024 nodes an eager table would be one more allocation on
-     * each of 1536 switches (docs/PERF.md's construction-cost rule).
+     * each of the 2304 routed switches (docs/PERF.md's
+     * construction-cost rule).
      */
     explicit CombineTable(unsigned entries) : _entries(entries)
     {

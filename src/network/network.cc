@@ -1,5 +1,7 @@
 #include "network/network.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace cenju
@@ -8,7 +10,6 @@ namespace cenju
 Network::Network(EventQueue &eq, const NetConfig &cfg)
     : _eq(eq), _cfg(cfg), _topo(cfg.numNodes, cfg.stages),
       _injectors(cfg.numNodes), _endpoints(cfg.numNodes, nullptr),
-      _combineParked(cfg.numNodes),
       _injectedCtr(_stats.counter("injected")),
       _deliveredCtr(_stats.counter("delivered")),
       _multicastCopies(_stats.counter("multicast_copies")),
@@ -19,44 +20,74 @@ Network::Network(EventQueue &eq, const NetConfig &cfg)
       _combineDecombined(_stats.counter("combine_decombined")),
       _latency(_stats.sampleStat("latency_ns"))
 {
-    unsigned rows = _topo.rowsPerStage();
-    _switches.reserve(static_cast<std::size_t>(_topo.stages()) *
-                      rows);
+    // A zero capacity would accept nothing and drain the event loop
+    // with every load still pending.
+    if (cfg.xbCapacity == 0)
+        fatal("network: xbCapacity must be at least 1");
+    if (cfg.injectQueueCapacity == 0)
+        fatal("network: injectQueueCapacity must be at least 1");
+
+    // Only switches on some route are built (Topology::routed), in
+    // (stage, row) order, stage by stage.
+    std::size_t built = 0;
+    _stageBase.reserve(_topo.stages());
     for (unsigned s = 0; s < _topo.stages(); ++s) {
-        for (unsigned r = 0; r < rows; ++r) {
-            _switches.push_back(std::make_unique<XbarSwitch>(
-                _eq, *this, _topo, _cfg, s, r));
+        _stageBase.push_back(unsigned(built));
+        Topology::RoutedRows rr = _topo.routedRows(s);
+        built += std::size_t(rr.srcPrefixes) * rr.dstPrefixes;
+    }
+    const unsigned perSwitch =
+        switchRadix * switchRadix * _cfg.xbCapacity;
+    _slots = std::make_unique<PacketPtr[]>(
+        built * perSwitch +
+        std::size_t(_cfg.numNodes) * _cfg.injectQueueCapacity);
+    PacketPtr *slots = _slots.get();
+    _switches = std::vector<std::optional<XbarSwitch>>(built);
+    auto next = _switches.begin();
+    for (unsigned s = 0; s < _topo.stages(); ++s) {
+        for (unsigned r = 0; r < _topo.rowsPerStage(); ++r) {
+            if (!_topo.routed(s, r))
+                continue;
+            (next++)->emplace(_eq, *this, _topo, _cfg, s, r, slots);
+            slots += perSwitch;
         }
     }
 
     // Wire stage s outputs to stage s+1 inputs, and register the
     // static back-pressure callbacks (input space -> upstream
-    // output re-arbitration).
-    for (unsigned s = 0; s + 1 < _topo.stages(); ++s) {
-        for (unsigned r = 0; r < rows; ++r) {
-            XbarSwitch &up = switchAt(s, r);
-            for (unsigned p = 0; p < switchRadix; ++p) {
-                auto [drow, dport] = _topo.link(s, r, p);
-                XbarSwitch &down = switchAt(s + 1, drow);
-                up.connectDownstream(p, &down, dport);
-                down.onInputSpace(dport, [&up, p] {
-                    // Wake the upstream output so a head blocked on
-                    // our full buffers is retried.
-                    up.unblockEject(p); // reuses the re-arb path
-                });
-            }
+    // output re-arbitration). A link into an unbuilt switch carries
+    // no route, so it stays unwired.
+    for (std::optional<XbarSwitch> &sw : _switches) {
+        XbarSwitch &up = *sw;
+        unsigned s = up.stage();
+        if (s + 1 == _topo.stages())
+            break;
+        for (unsigned p = 0; p < switchRadix; ++p) {
+            auto [drow, dport] = _topo.link(s, up.row(), p);
+            XbarSwitch *down = findSwitch(s + 1, drow);
+            if (!down)
+                continue;
+            up.connectDownstream(p, down, dport);
+            down->onInputSpace(dport, [&up, p] {
+                // Wake the upstream output so a head blocked on
+                // our full buffers is retried.
+                up.unblockEject(p); // reuses the re-arb path
+            });
         }
     }
 
     // Injection wiring: node n feeds one stage-0 input port.
     for (NodeId n = 0; n < _cfg.numNodes; ++n) {
         auto [row, port] = _topo.injectPoint(n);
-        _injectors[n].swRow = row;
-        _injectors[n].swPort = port;
-        switchAt(0, row).onInputSpace(port, [this, n] {
-            Injector &inj = _injectors[n];
-            if (inj.waitingSpace) {
-                inj.waitingSpace = false;
+        Injector &inj = _injectors[n];
+        inj.q = PacketRing(slots, _cfg.injectQueueCapacity);
+        slots += _cfg.injectQueueCapacity;
+        inj.sw0 = &switchAt(0, row);
+        inj.swPort = port;
+        inj.sw0->onInputSpace(port, [this, n] {
+            Injector &i2 = _injectors[n];
+            if (i2.waitingSpace) {
+                i2.waitingSpace = false;
                 _eq.scheduleAfter(0, [this, n] { pumpInjector(n); });
             }
         });
@@ -64,6 +95,16 @@ Network::Network(EventQueue &eq, const NetConfig &cfg)
 }
 
 Network::~Network() = default;
+
+XbarSwitch &
+Network::switchAt(unsigned stage, unsigned row)
+{
+    XbarSwitch *sw = findSwitch(stage, row);
+    if (!sw)
+        panic("switch (%u,%u) lies on no route and was not built",
+              stage, row);
+    return *sw;
+}
 
 void
 Network::attach(NodeId n, Endpoint *ep)
@@ -76,9 +117,11 @@ Network::attach(NodeId n, Endpoint *ep)
 unsigned
 Network::effectiveInjectCapacity(NodeId n) const
 {
+    // A squeeze only lowers the capacity, which keeps the injection
+    // ring within its slots.
     unsigned cap = _cfg.injectQueueCapacity;
     if (_faultHook)
-        cap = _faultHook->injectQueueCapacity(n, cap);
+        cap = std::min(cap, _faultHook->injectQueueCapacity(n, cap));
     return cap;
 }
 
@@ -143,15 +186,13 @@ Network::pumpInjector(NodeId n)
     if (inj.busy || inj.q.empty())
         return;
 
-    XbarSwitch &sw0 = switchAt(0, inj.swRow);
-    Packet &head = *inj.q.front();
-    if (!sw0.reserve(inj.swPort, head)) {
+    XbarSwitch &sw0 = *inj.sw0;
+    if (!sw0.reserve(inj.swPort, *inj.q.front())) {
         inj.waitingSpace = true;
         return;
     }
 
-    PacketPtr pkt = std::move(inj.q.front());
-    inj.q.pop_front();
+    PacketPtr pkt = inj.q.pop_front();
     inj.busy = true;
 
     Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
@@ -219,6 +260,8 @@ Network::deliverCombinedReply(NodeId n, PacketPtr pkt)
     if (!ejectReserve(n, *pkt)) {
         // Parked until the endpoint frees space (deliveryRetry) or
         // a delivery-hold fault window closes.
+        if (_combineParked.empty())
+            _combineParked.resize(_cfg.numNodes);
         _combineParked[n].push_back(std::move(pkt));
         return;
     }
@@ -260,7 +303,7 @@ Network::registerEjectWaiter(NodeId n, XbarSwitch *sw, unsigned out)
 void
 Network::deliveryRetry(NodeId n)
 {
-    while (!_combineParked[n].empty()) {
+    while (!_combineParked.empty() && !_combineParked[n].empty()) {
         if (!ejectReserve(n, *_combineParked[n].front()))
             break;
         PacketPtr p = std::move(_combineParked[n].front());

@@ -19,6 +19,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "transport/net_config.hh"
@@ -91,7 +92,7 @@ class Network final : public Transport
     unsigned
     injectBacklog(NodeId n) const override
     {
-        return static_cast<unsigned>(_injectors[n].q.size());
+        return _injectors[n].q.size();
     }
 
     FabricShape
@@ -100,10 +101,12 @@ class Network final : public Transport
         return {_topo.stages(), _topo.rowsPerStage()};
     }
 
+    /** A no-op on an unbuilt switch: no packet can reach it. */
     void
     fabricKick(unsigned stage, unsigned row) override
     {
-        switchAt(stage, row).faultKick();
+        if (XbarSwitch *sw = findSwitch(stage, row))
+            sw->faultKick();
     }
 
     /** Packets accepted for transmission so far. */
@@ -133,22 +136,42 @@ class Network final : public Transport
     Counter &combineSkipped() { return _combineSkipped; }
     Counter &combineDecombined() { return _combineDecombined; }
 
-    /** Switch at (stage, row) — exposed for tests. */
-    XbarSwitch &
-    switchAt(unsigned stage, unsigned row)
+    /**
+     * Switch at (stage, row), or nullptr if it lies on no route and
+     * was therefore not built (Topology::routed).
+     */
+    XbarSwitch *
+    findSwitch(unsigned stage, unsigned row)
     {
-        return *_switches[stage * _topo.rowsPerStage() + row];
+        if (stage >= _stageBase.size() || !_topo.routed(stage, row))
+            return nullptr;
+        unsigned a = row >> (2 * stage);
+        unsigned b = row & ((1u << (2 * stage)) - 1);
+        return &*_switches[_stageBase[stage] +
+                           a * _topo.routedRows(stage).dstPrefixes + b];
+    }
+
+    /** Built switch at (stage, row) — exposed for tests. */
+    XbarSwitch &switchAt(unsigned stage, unsigned row);
+
+    /** Call @p fn on every built switch in (stage, row) order. */
+    template <typename Fn>
+    void
+    forEachSwitch(Fn &&fn)
+    {
+        for (std::optional<XbarSwitch> &sw : _switches)
+            fn(*sw);
     }
 
   private:
     /** Per-node injection queue and serializer. */
     struct Injector
     {
-        std::deque<PacketPtr> q;
+        PacketRing q;
         bool busy = false;
         bool waitingSpace = false; ///< blocked on stage-0 buffer
         bool wasFull = false;      ///< owner needs a space callback
-        unsigned swRow = 0;
+        XbarSwitch *sw0 = nullptr; ///< stage-0 switch it feeds
         unsigned swPort = 0;
     };
 
@@ -180,12 +203,27 @@ class Network final : public Transport
     EventQueue &_eq;
     NetConfig _cfg;
     Topology _topo;
-    std::vector<std::unique_ptr<XbarSwitch>> _switches;
+    /**
+     * Packet slots of every crosspoint buffer, then of every
+     * injection queue: the rings index into it, so it outlives
+     * them.
+     */
+    std::unique_ptr<PacketPtr[]> _slots;
+    /**
+     * The routed switches in (stage, row) order, built in place:
+     * wiring and callbacks hold their addresses.
+     */
+    std::vector<std::optional<XbarSwitch>> _switches;
+    /** Index in _switches of each stage's first switch. */
+    std::vector<unsigned> _stageBase;
     std::vector<Injector> _injectors;
     std::vector<Endpoint *> _endpoints;
     std::vector<EjectWaiter> _ejectWaiters;
 
-    /** Combined replies refused at the endpoint, per node. */
+    /**
+     * Combined replies refused at the endpoint, per node; sized on
+     * the first park.
+     */
     std::vector<std::deque<PacketPtr>> _combineParked;
 
     /** Injection-queue capacity with any active fault squeeze. */

@@ -31,6 +31,12 @@
  *    destination behind it, so it reaches exactly the node range
  *    [lo, lo + 4^(S-1-s)) with lo = (c mod 4^(s+1)) * 4^(S-1-s),
  *    clipped to the real nodes (reach()).
+ *
+ * So the rows of stage s that lie on some route between real nodes
+ * are exactly row = a * 4^s + b with a < min(N, 4^(S-1-s)) (a
+ * source's low digits) and b <= (N-1) >> 2(S-s) (a destination's
+ * top digits); routedRows() and routed(). When N < 4^S only these
+ * switches are ever built: at 1024 nodes 2304 of the 6144.
  */
 
 #ifndef CENJU_NETWORK_TOPOLOGY_HH
@@ -132,6 +138,31 @@ class Topology
                           ((1u << (2 * (stage + 1))) - 1);
         NodeId lo = std::min(prefix << span, _numNodes);
         return {lo, std::min(lo + (1u << span), _numNodes)};
+    }
+
+    /** The rows of one stage on some route: a * 4^s + b. */
+    struct RoutedRows
+    {
+        unsigned srcPrefixes; ///< a < srcPrefixes
+        unsigned dstPrefixes; ///< b < dstPrefixes (<= 4^s)
+    };
+
+    /** Routed rows of @p stage (see the file comment). */
+    RoutedRows
+    routedRows(unsigned stage) const
+    {
+        unsigned keep = 2 * (_stages - 1 - stage);
+        return {std::min(_numNodes, 1u << keep),
+                ((_numNodes - 1) >> (2 * (_stages - stage))) + 1};
+    }
+
+    /** True if switch (@p stage, @p row) lies on some route. */
+    bool
+    routed(unsigned stage, unsigned row) const
+    {
+        RoutedRows rr = routedRows(stage);
+        return (row >> (2 * stage)) < rr.srcPrefixes &&
+               (row & ((1u << (2 * stage)) - 1)) < rr.dstPrefixes;
     }
 
     /** 4-way perfect shuffle: left-rotate the S base-4 digits. */

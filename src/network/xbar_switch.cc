@@ -2,6 +2,7 @@
 
 #include "network/network.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace cenju
@@ -9,12 +10,19 @@ namespace cenju
 
 XbarSwitch::XbarSwitch(EventQueue &eq, Network &net,
                        const Topology &topo, const NetConfig &cfg,
-                       unsigned stage, unsigned row)
+                       unsigned stage, unsigned row, PacketPtr *slots)
     : _eq(eq), _net(net), _topo(topo), _cfg(cfg), _stage(stage),
       _row(row), _lastStage(stage + 1 == topo.stages()),
       _gather(cfg.gatherTableEntries),
       _combine(cfg.combineTableEntries)
-{}
+{
+    for (auto &fifos : _xb) {
+        for (Fifo &f : fifos) {
+            f.q = PacketRing(slots, cfg.xbCapacity);
+            slots += cfg.xbCapacity;
+        }
+    }
+}
 
 namespace
 {
@@ -77,9 +85,11 @@ XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
     std::uint8_t outs = targetPorts(pkt);
     if (!outs)
         panic("packet with no target ports at stage %u", _stage);
+    // A squeeze only lowers the capacity, which keeps every
+    // crosspoint ring within its slots.
     unsigned cap = _cfg.xbCapacity;
     if (auto *h = _net.faultHook())
-        cap = h->xbCapacity(_stage, _row, cap);
+        cap = std::min(cap, h->xbCapacity(_stage, _row, cap));
     bool full = false;
     forEachPort(outs, [&](unsigned o) {
         full |= _xb[in_port][o].used() >= cap;
@@ -167,7 +177,9 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
     // the stage's header time, so no extra latency is charged; only
     // the reply descent pays gatherMergeLatency per decombine.
     for (unsigned in = 0; in < switchRadix; ++in) {
-        for (PacketPtr &q : _xb[in][out].q) {
+        PacketRing &ring = _xb[in][out].q;
+        for (unsigned i = 0; i < ring.size(); ++i) {
+            PacketPtr &q = ring[i];
             if (!q->combinable || q->combinedReply ||
                 q->combineKey != pkt->combineKey ||
                 q->combineOp != pkt->combineOp ||
@@ -263,8 +275,7 @@ XbarSwitch::arbitrate(unsigned out)
             // callback when (dport, *) space frees.
             return;
         }
-        PacketPtr pkt = std::move(f.q.front());
-        f.q.pop_front();
+        PacketPtr pkt = f.q.pop_front();
         _rr[out] = (in + 1) % switchRadix;
         _busy[out] = true;
         _eq.scheduleAfter(_cfg.portOccupancy(pkt->sizeBytes),

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 
 #include "network/gather_table.hh"
 #include "network/topology.hh"
@@ -33,12 +32,72 @@ namespace cenju
 
 class Network;
 
+/**
+ * Fixed-capacity FIFO of packets over slots it does not own: the
+ * Network carves every crosspoint buffer and injection queue from
+ * one arena. Reservation keeps every user within its capacity, so
+ * pushing onto a full ring is a simulator bug and panics.
+ */
+class PacketRing
+{
+  public:
+    PacketRing() = default;
+    PacketRing(PacketPtr *slots, unsigned capacity)
+        : _slots(slots), _cap(capacity)
+    {}
+
+    bool empty() const { return _size == 0; }
+    unsigned size() const { return _size; }
+
+    PacketPtr &front() { return _slots[_head]; }
+
+    /** The @p i-th packet from the head. @pre i < size() */
+    PacketPtr &
+    operator[](unsigned i)
+    {
+        unsigned at = _head + i;
+        return _slots[at < _cap ? at : at - _cap];
+    }
+
+    void
+    push_back(PacketPtr pkt)
+    {
+        if (_size == _cap)
+            panic("packet ring overflow (capacity %u)", _cap);
+        unsigned tail = _head + _size;
+        _slots[tail < _cap ? tail : tail - _cap] = std::move(pkt);
+        ++_size;
+    }
+
+    /** @pre !empty() */
+    PacketPtr
+    pop_front()
+    {
+        PacketPtr pkt = std::move(_slots[_head]);
+        if (++_head == _cap)
+            _head = 0;
+        --_size;
+        return pkt;
+    }
+
+  private:
+    PacketPtr *_slots = nullptr;
+    unsigned _cap = 0;
+    unsigned _head = 0;
+    unsigned _size = 0;
+};
+
 /** One 4x4 crossbar switch of the multistage network. */
 class XbarSwitch
 {
   public:
+    /**
+     * @param slots 16 * cfg.xbCapacity packet slots backing the
+     *        crosspoint buffers, owned by @p net
+     */
     XbarSwitch(EventQueue &eq, Network &net, const Topology &topo,
-               const NetConfig &cfg, unsigned stage, unsigned row);
+               const NetConfig &cfg, unsigned stage, unsigned row,
+               PacketPtr *slots);
 
     XbarSwitch(const XbarSwitch &) = delete;
     XbarSwitch &operator=(const XbarSwitch &) = delete;
@@ -117,14 +176,13 @@ class XbarSwitch
     unsigned
     occupancy(unsigned in, unsigned out) const
     {
-        const Fifo &f = _xb[in][out];
-        return unsigned(f.q.size()) + f.reserved;
+        return _xb[in][out].used();
     }
 
   private:
     struct Fifo
     {
-        std::deque<PacketPtr> q;
+        PacketRing q;
         unsigned reserved = 0;
 
         unsigned

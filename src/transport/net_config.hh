@@ -31,10 +31,10 @@ struct NetConfig
     /** Switch stages; 0 derives the Cenju-4 default from numNodes. */
     unsigned stages = 0;
 
-    /** Capacity of each crosspoint buffer, in packets. */
+    /** Capacity of each crosspoint buffer, in packets (>= 1). */
     unsigned xbCapacity = 8;
 
-    /** Per-node injection queue capacity, in packets. */
+    /** Per-node injection queue capacity, in packets (>= 1). */
     unsigned injectQueueCapacity = 4;
 
     /** Header latency through one switch stage (ns). */

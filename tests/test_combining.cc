@@ -286,14 +286,10 @@ struct NetFixture
     void
     expectCombineTablesIdle() const
     {
-        for (unsigned s = 0; s < net->topology().stages(); ++s)
-            for (unsigned r = 0;
-                 r < net->topology().rowsPerStage(); ++r)
-                EXPECT_EQ(net->switchAt(s, r)
-                              .combineTable()
-                              .activeCount(),
-                          0u)
-                    << "switch (" << s << "," << r << ")";
+        net->forEachSwitch([](XbarSwitch &sw) {
+            EXPECT_EQ(sw.combineTable().activeCount(), 0u)
+                << "switch (" << sw.stage() << "," << sw.row() << ")";
+        });
     }
 
     EventQueue eq;

@@ -413,6 +413,68 @@ TEST(StressCaseIo, MalformedNumbersFailNamingKeyAndValue)
     EXPECT_EQ(c.nodes, ~0u);
 }
 
+TEST(StressCaseIo, ZeroCrosspointCapacityIsRejected)
+{
+    // xbcap 0 would accept no packet and drain the event loop with
+    // every access pending; both input paths refuse it by name.
+    StressCase c;
+    std::string err;
+    EXPECT_FALSE(applyCaseKey(c, "xbcap", "0", err));
+    EXPECT_NE(err.find("bad xbcap value '0'"), std::string::npos)
+        << err;
+    EXPECT_EQ(c.xbCapacity, StressCase{}.xbCapacity);
+    StressCase out;
+    EXPECT_FALSE(
+        parseCase("stresscase v1\nnodes 16\nxbcap 0\nend\n", out, err));
+    EXPECT_NE(err.find("xbcap"), std::string::npos) << err;
+}
+
+TEST(StressRun, FaultsOnUnbuiltSwitchesChangeNothing)
+{
+    // At 64 nodes only 112 of the 256 switches lie on a route, and
+    // only those are built. A squeeze or stall aimed at an unbuilt
+    // one, and the kick when its window closes, must leave the
+    // engine-step digest exactly as the plan without that event.
+    StressOptions opts;
+    opts.nodes = 64;
+    StressCase c = makeStressCase(4, opts);
+    std::string err;
+    StressCase replayed;
+    ASSERT_TRUE(parseCase(serializeCase(c), replayed, err)) << err;
+    StressResult base = runStressCase(replayed);
+    ASSERT_TRUE(base.completed) << base.stallDiagnosis;
+
+    FaultEvent squeeze;
+    squeeze.kind = FaultKind::XbSqueeze;
+    squeeze.start = 100;
+    squeeze.duration = 40000;
+    squeeze.stage = 1;
+    squeeze.row = 1; // stage 1 keeps only rows whose low digit is 0
+    squeeze.amount = 100;
+    FaultEvent stall = squeeze;
+    stall.kind = FaultKind::SwitchStall;
+    stall.stage = 2;
+    stall.row = 4; // stage 2 keeps rows a * 16 + b with b < 4
+    stall.amount = 0;
+    stall.port = 2;
+    FaultEvent kick = squeeze; // a one-tick window: mostly the kick
+    kick.stage = 3;
+    kick.row = 16; // stage 3 keeps rows 0..15
+    kick.duration = 1;
+    for (const FaultEvent &e : {squeeze, stall, kick}) {
+        SCOPED_TRACE(serializeFaultEvent(e));
+        StressCase withEvent = c;
+        withEvent.plan.events.push_back(e);
+        ASSERT_TRUE(
+            parseCase(serializeCase(withEvent), replayed, err))
+            << err;
+        StressResult r = runStressCase(replayed);
+        EXPECT_TRUE(r.completed) << r.stallDiagnosis;
+        EXPECT_EQ(r.digest, base.digest);
+        EXPECT_EQ(r.steps, base.steps);
+    }
+}
+
 TEST(StressCaseIo, MalformedNumberInReproducerFailsNamingKeyAndValue)
 {
     // The --replay-file path: parseCase must return false with the

@@ -89,24 +89,18 @@ struct Fixture
     totalGatherBlocks() const
     {
         std::uint64_t n = 0;
-        for (unsigned s = 0; s < net->topology().stages(); ++s)
-            for (unsigned r = 0;
-                 r < net->topology().rowsPerStage(); ++r)
-                n += net->switchAt(s, r).gatherBlockCount();
+        net->forEachSwitch(
+            [&n](XbarSwitch &sw) { n += sw.gatherBlockCount(); });
         return n;
     }
 
     void
     expectAllTablesIdle() const
     {
-        for (unsigned s = 0; s < net->topology().stages(); ++s)
-            for (unsigned r = 0;
-                 r < net->topology().rowsPerStage(); ++r)
-                EXPECT_EQ(net->switchAt(s, r)
-                              .gatherTable()
-                              .activeCount(),
-                          0u)
-                    << "switch (" << s << "," << r << ")";
+        net->forEachSwitch([](XbarSwitch &sw) {
+            EXPECT_EQ(sw.gatherTable().activeCount(), 0u)
+                << "switch (" << sw.stage() << "," << sw.row() << ")";
+        });
     }
 
     EventQueue eq;
@@ -245,18 +239,14 @@ TEST(CombineExhaustion, AliasedSlotsSkipMergeInsteadOfBlocking)
     // Records for merged requests stay live until their reply
     // descends; nothing may leak past that bound.
     std::uint64_t live = 0;
-    for (unsigned s = 0; s < f.net->topology().stages(); ++s) {
-        for (unsigned r = 0;
-             r < f.net->topology().rowsPerStage(); ++r) {
-            const CombineTable &t =
-                f.net->switchAt(s, r).combineTable();
-            live += t.activeCount();
-            // One slot: every ticket aliases onto it, so it takes a
-            // new merge exactly when no record is live.
-            EXPECT_EQ(t.canRecord(0), t.activeCount() == 0)
-                << "switch (" << s << "," << r << ")";
-        }
-    }
+    f.net->forEachSwitch([&live](XbarSwitch &sw) {
+        const CombineTable &t = sw.combineTable();
+        live += t.activeCount();
+        // One slot: every ticket aliases onto it, so it takes a
+        // new merge exactly when no record is live.
+        EXPECT_EQ(t.canRecord(0), t.activeCount() == 0)
+            << "switch (" << sw.stage() << "," << sw.row() << ")";
+    });
     EXPECT_EQ(live, merged);
 }
 

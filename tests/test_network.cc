@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "fault/hooks.hh"
 #include "network/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -166,17 +170,207 @@ TEST(Network, RoutingDecisionsAllocateNothing)
 
     unsigned sink = 0;
     std::uint64_t before = heapAllocs.load();
+    f.net->forEachSwitch([&](XbarSwitch &sw) {
+        sink += sw.targetPorts(mc) + sw.targetPorts(uc) +
+                sw.gatherWaitPattern(gr);
+    });
     for (unsigned s = 0; s < t.stages(); ++s) {
-        for (unsigned row : {0u, 77u, 1023u}) {
-            XbarSwitch &sw = f.net->switchAt(s, row);
-            sink += sw.targetPorts(mc) + sw.targetPorts(uc) +
-                    sw.gatherWaitPattern(gr);
-        }
         for (NodeId v = 0; v < 1024; v += 7)
             sink += t.hop(v, 700, s).row;
     }
     EXPECT_EQ(heapAllocs.load() - before, 0u);
     EXPECT_NE(sink, 0u);
+}
+
+TEST(Network, BuildsExactlyTheRoutedSwitches)
+{
+    // The closed-form predicate against brute force: a switch is
+    // built iff some (src, dst) route between real nodes crosses it.
+    for (auto [nodes, expect] :
+         {std::pair{16u, 8u}, std::pair{64u, 112u},
+          std::pair{100u, 149u}, std::pair{128u, 160u},
+          std::pair{256u, 256u}, std::pair{512u, 1280u},
+          std::pair{1024u, 2304u}}) {
+        SCOPED_TRACE(nodes);
+        NetFixture f(nodes);
+        const Topology &t = f.net->topology();
+        std::vector<bool> onRoute(
+            std::size_t(t.stages()) * t.rowsPerStage(), false);
+        for (NodeId src = 0; src < nodes; ++src)
+            for (NodeId dst = 0; dst < nodes; ++dst)
+                for (unsigned s = 0; s < t.stages(); ++s)
+                    onRoute[s * t.rowsPerStage() +
+                            t.hop(src, dst, s).row] = true;
+        unsigned routed = 0;
+        for (unsigned s = 0; s < t.stages(); ++s) {
+            for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
+                bool want = onRoute[s * t.rowsPerStage() + r];
+                ASSERT_EQ(t.routed(s, r), want) << s << "," << r;
+                XbarSwitch *sw = f.net->findSwitch(s, r);
+                ASSERT_EQ(sw != nullptr, want) << s << "," << r;
+                if (sw) {
+                    EXPECT_EQ(sw->stage(), s);
+                    EXPECT_EQ(sw->row(), r);
+                }
+                routed += want;
+            }
+        }
+        EXPECT_EQ(routed, expect);
+        unsigned built = 0;
+        f.net->forEachSwitch([&built](XbarSwitch &) { ++built; });
+        EXPECT_EQ(built, expect);
+    }
+}
+
+TEST(Network, SwitchAtAnUnbuiltRowPanics)
+{
+    // At 64 nodes stage 1 keeps only rows whose low digit is 0.
+    NetFixture f(64);
+    ASSERT_EQ(f.net->findSwitch(1, 1), nullptr);
+    EXPECT_DEATH(f.net->switchAt(1, 1),
+                 "switch \\(1,1\\) lies on no route");
+    f.net->fabricKick(1, 1); // a no-op, not a panic
+}
+
+TEST(Network, ConstructionAllocationsDoNotScaleWithSwitches)
+{
+    // Switches, crosspoint rings and injection rings each come from
+    // one allocation, and gather/combine tables start empty, so a
+    // 1024-node fabric (2304 switches) allocates exactly as often
+    // as a 16-node one (8 switches).
+    auto allocsToBuild = [](unsigned nodes) {
+        EventQueue eq;
+        NetConfig cfg;
+        cfg.numNodes = nodes;
+        std::uint64_t before = heapAllocs.load();
+        Network net(eq, cfg);
+        return heapAllocs.load() - before;
+    };
+    std::uint64_t small = allocsToBuild(16);
+    std::uint64_t large = allocsToBuild(1024);
+    EXPECT_EQ(large, small);
+    EXPECT_LE(large, 32u);
+}
+
+TEST(Network, ZeroCapacitiesAreFatal)
+{
+    EventQueue eq;
+    NetConfig cfg;
+    cfg.numNodes = 16;
+    cfg.xbCapacity = 0;
+    EXPECT_EXIT(Network(eq, cfg), ::testing::ExitedWithCode(1),
+                "xbCapacity must be at least 1");
+    cfg.xbCapacity = 8;
+    cfg.injectQueueCapacity = 0;
+    EXPECT_EXIT(Network(eq, cfg), ::testing::ExitedWithCode(1),
+                "injectQueueCapacity must be at least 1");
+}
+
+TEST(Network, PacketRingOverflowPanics)
+{
+    PacketPtr slots[2];
+    PacketRing ring(slots, 2);
+    ring.push_back(makeUnicast(0, 1, 1));
+    ring.push_back(makeUnicast(0, 1, 2));
+    EXPECT_EQ(ring.pop_front()->src, 0u);
+    ring.push_back(makeUnicast(0, 1, 3)); // wraps around
+    ASSERT_EQ(ring.size(), 2u);
+    EXPECT_EQ(static_cast<TestPacket &>(*ring[0]).tag, 2);
+    EXPECT_EQ(static_cast<TestPacket &>(*ring[1]).tag, 3);
+    EXPECT_DEATH(ring.push_back(makeUnicast(0, 1, 4)),
+                 "packet ring overflow \\(capacity 2\\)");
+}
+
+/** Squeezes every buffer and injection queue to one while on. */
+class SqueezeHook : public fault::FaultHook
+{
+  public:
+    bool on = false;
+
+    unsigned
+    injectQueueCapacity(NodeId, unsigned base) override
+    {
+        return on ? 1 : base;
+    }
+    unsigned
+    xbCapacity(unsigned, unsigned, unsigned base) override
+    {
+        return on ? 1 : base;
+    }
+    bool switchOutputHeld(unsigned, unsigned, unsigned) override
+    {
+        return false;
+    }
+    bool deliveryHeld(NodeId) override { return false; }
+};
+
+TEST(Network, SqueezeBelowOccupancyNeverOverflowsARing)
+{
+    // Fill every buffer toward a one-slot endpoint, then squeeze
+    // all capacities below what the buffers and injection queues
+    // already hold: they may only drain, so no ring overflows.
+    EventQueue eq;
+    NetConfig cfg;
+    cfg.numNodes = 16;
+    Network net(eq, cfg);
+    std::vector<std::unique_ptr<RecordingEndpoint>> eps;
+    for (NodeId n = 0; n < 16; ++n) {
+        eps.push_back(std::make_unique<RecordingEndpoint>(
+            net, n, n == 9 ? 1u : 1u << 30));
+    }
+    unsigned sent = 0;
+    for (int round = 0; round < 4; ++round) {
+        for (NodeId src = 0; src < 16; ++src) {
+            while (src != 9 &&
+                   net.tryInject(makeUnicast(src, 9, int(sent))))
+                ++sent;
+        }
+        eq.run();
+    }
+    ASSERT_GT(sent, 0u);
+
+    auto occupancies = [&net] {
+        std::vector<unsigned> occ;
+        net.forEachSwitch([&occ](XbarSwitch &sw) {
+            for (unsigned in = 0; in < switchRadix; ++in)
+                for (unsigned out = 0; out < switchRadix; ++out)
+                    occ.push_back(sw.occupancy(in, out));
+        });
+        return occ;
+    };
+    std::vector<unsigned> atSqueeze = occupancies();
+    ASSERT_EQ(*std::max_element(atSqueeze.begin(), atSqueeze.end()),
+              cfg.xbCapacity)
+        << "buffers never filled; the test lost its subject";
+    SqueezeHook hook;
+    hook.on = true;
+    net.setFaultHook(&hook);
+    ASSERT_GT(net.injectBacklog(0), 1u);
+    EXPECT_FALSE(net.tryInject(makeUnicast(0, 9)));
+
+    // Drain half of it under the squeeze.
+    for (unsigned i = 0; i < sent / 2; ++i) {
+        eps[9]->consume();
+        eq.run();
+        std::vector<unsigned> occ = occupancies();
+        for (std::size_t k = 0; k < occ.size(); ++k)
+            ASSERT_LE(occ[k], std::max(atSqueeze[k], 1u)) << k;
+        for (NodeId n = 0; n < 16; ++n)
+            ASSERT_LE(net.injectBacklog(n),
+                      cfg.injectQueueCapacity);
+    }
+    hook.on = false;
+    net.forEachSwitch([&net](XbarSwitch &sw) {
+        net.fabricKick(sw.stage(), sw.row());
+    });
+    for (NodeId n = 0; n < 16; ++n)
+        net.faultInjectRetry(n);
+    while (eps[9]->arrivals.size() < sent) {
+        eps[9]->consume();
+        eq.run();
+    }
+    EXPECT_EQ(net.deliveredCount(), sent);
+    net.setFaultHook(nullptr);
 }
 
 TEST(Network, UnicastDeliversOnceWithCalibratedLatency)
@@ -326,14 +520,9 @@ TEST_P(NetworkGather, CollapsesToExactlyOneReply)
         << nodes << " nodes, " << groupSize << " members, home "
         << home;
     // No gather table entry should remain active anywhere.
-    for (unsigned s = 0; s < f.net->topology().stages(); ++s) {
-        for (unsigned r = 0; r < f.net->topology().rowsPerStage();
-             ++r) {
-            EXPECT_EQ(
-                f.net->switchAt(s, r).gatherTable().activeCount(),
-                0u);
-        }
-    }
+    f.net->forEachSwitch([](XbarSwitch &sw) {
+        EXPECT_EQ(sw.gatherTable().activeCount(), 0u);
+    });
     // Every member's reply is accounted for: absorbed merges plus
     // the replies that advanced a stage sum to the group size minus
     // nothing (each absorb removes exactly one in-flight reply).

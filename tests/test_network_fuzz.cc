@@ -158,13 +158,9 @@ runFuzz(unsigned nodes, std::uint64_t seed)
         }
     }
     // No gather entry may remain active.
-    for (unsigned s = 0; s < net.topology().stages(); ++s) {
-        for (unsigned r = 0; r < net.topology().rowsPerStage();
-             ++r) {
-            EXPECT_EQ(net.switchAt(s, r).gatherTable().activeCount(),
-                      0u);
-        }
-    }
+    net.forEachSwitch([](XbarSwitch &sw) {
+        EXPECT_EQ(sw.gatherTable().activeCount(), 0u);
+    });
     // Each gather round forwards at least once (per merging
     // switch) and delivered exactly one reply (checked above).
     EXPECT_GE(net.gatherForwarded().value(), gathers_expected);

@@ -17,9 +17,11 @@
  *   sweeprunner bench  [--jobs J] [--quick] [--bindir DIR]
  *                      [--only NAME] [--out BENCH_figures.json]
  *       Run the figure/table bench binaries concurrently and
- *       record wall-clock seconds per bench.
+ *       record per bench its wall-clock seconds, its user+sys CPU
+ *       seconds and its peak RSS (the child's rusage).
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +31,12 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "fault/stress.hh"
 #include "sim/thread_pool.hh"
@@ -203,8 +211,64 @@ struct BenchOutcome
 {
     std::string name;
     double seconds = 0;
-    int exitCode = -1;
+    double cpuSeconds = 0; ///< user + sys
+    double peakRssMb = 0;
+    int exitCode = -1; ///< exit status, 128 + signal, or -1
 };
+
+double
+toSeconds(const timeval &tv)
+{
+    return double(tv.tv_sec) + double(tv.tv_usec) * 1e-6;
+}
+
+/**
+ * Run @p path with output discarded and CENJU_QUICK=1 added to the
+ * environment when @p quick; fill @p r from its exit and rusage.
+ */
+void
+spawnBench(const std::string &path, bool quick, BenchOutcome &r)
+{
+    std::vector<std::string> env;
+    for (char **e = environ; *e; ++e)
+        env.emplace_back(*e);
+    if (quick)
+        env.emplace_back("CENJU_QUICK=1");
+    std::vector<char *> envp;
+    for (std::string &e : env)
+        envp.push_back(e.data());
+    envp.push_back(nullptr);
+    char *argv[] = {const_cast<char *>(path.c_str()), nullptr};
+
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    posix_spawn_file_actions_addopen(&fa, 1, "/dev/null", O_WRONLY,
+                                     0);
+    posix_spawn_file_actions_adddup2(&fa, 1, 2);
+    auto t0 = std::chrono::steady_clock::now();
+    pid_t pid;
+    int err = posix_spawn(&pid, path.c_str(), &fa, nullptr, argv,
+                          envp.data());
+    posix_spawn_file_actions_destroy(&fa);
+    if (err != 0) {
+        std::fprintf(stderr, "cannot run %s: %s\n", path.c_str(),
+                     std::strerror(err));
+        return;
+    }
+    int status = 0;
+    rusage ru{};
+    while (wait4(pid, &status, 0, &ru) < 0) {
+        if (errno != EINTR)
+            return;
+    }
+    r.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    r.cpuSeconds = toSeconds(ru.ru_utime) + toSeconds(ru.ru_stime);
+    r.peakRssMb = double(ru.ru_maxrss) / 1024.0; // KiB on Linux
+    r.exitCode = WIFEXITED(status) ? WEXITSTATUS(status)
+                                   : 128 + WTERMSIG(status);
+}
 
 int
 runBenchMode(int argc, char **argv)
@@ -242,7 +306,7 @@ runBenchMode(int argc, char **argv)
     for (const char *b : benches) {
         if (!only.empty() && only != b)
             continue;
-        results.push_back({b, 0, -1});
+        results.push_back({b});
     }
     if (results.empty()) {
         std::fprintf(stderr, "no bench matches --only %s\n",
@@ -256,19 +320,11 @@ runBenchMode(int argc, char **argv)
     std::mutex printMu;
     for (BenchOutcome &r : results) {
         pool.submit([&r, &bindir, quick, &printMu] {
-            std::string cmd;
-            if (quick)
-                cmd += "CENJU_QUICK=1 ";
-            cmd += bindir + "/" + r.name + " > /dev/null 2>&1";
-            auto t0 = std::chrono::steady_clock::now();
-            int rc = std::system(cmd.c_str());
-            r.seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            r.exitCode = rc;
+            spawnBench(bindir + "/" + r.name, quick, r);
             std::lock_guard<std::mutex> lk(printMu);
-            std::printf("%-28s %8.3fs rc=%d\n", r.name.c_str(),
-                        r.seconds, rc);
+            std::printf("%-28s %8.3fs cpu %8.3fs rss %7.1f MB rc=%d\n",
+                        r.name.c_str(), r.seconds, r.cpuSeconds,
+                        r.peakRssMb, r.exitCode);
             std::fflush(stdout);
         });
     }
@@ -277,7 +333,7 @@ runBenchMode(int argc, char **argv)
     double total = 0;
     int bad = 0;
     for (const BenchOutcome &r : results) {
-        total += r.seconds;
+        total += r.cpuSeconds;
         if (r.exitCode != 0)
             ++bad;
     }
@@ -285,16 +341,18 @@ runBenchMode(int argc, char **argv)
 
     if (!outFile.empty()) {
         std::ofstream out(outFile);
-        out << "{\n  \"schema\": \"cenju-figures-bench-1\",\n"
+        out << "{\n  \"schema\": \"cenju-figures-bench-2\",\n"
             << "  \"quick\": " << (quick ? "true" : "false")
             << ",\n  \"results\": [\n";
         for (std::size_t i = 0; i < results.size(); ++i) {
-            char buf[160];
+            const BenchOutcome &r = results[i];
+            char buf[256];
             std::snprintf(buf, sizeof(buf),
                           "    {\"name\": \"%s\", \"seconds\": "
-                          "%.4f, \"exit\": %d}%s\n",
-                          results[i].name.c_str(),
-                          results[i].seconds, results[i].exitCode,
+                          "%.4f, \"cpu_s\": %.4f, \"peak_rss_mb\": "
+                          "%.1f, \"exit\": %d}%s\n",
+                          r.name.c_str(), r.seconds, r.cpuSeconds,
+                          r.peakRssMb, r.exitCode,
                           i + 1 < results.size() ? "," : "");
             out << buf;
         }
